@@ -68,6 +68,14 @@ class IlpModel:
                 raise ValueError("flow bound must be |s| - 1")
 
 
+def _conflict_pairs(h: Hypergraph, edges) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of edges whose segments conflict, in
+    row-major order."""
+    segs = [h.segment(*e) for e in edges]
+    return [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
+            if segments_conflict(segs[i], segs[j])]
+
+
 def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
     """Assemble the integer model for h under the given constraint set.
 
@@ -93,11 +101,7 @@ def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
 
     crossing: list[tuple[Edge, Edge]] = []
     if c.require_plane:
-        segs = [h.segment(u, v) for u, v in edges]
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                if segments_conflict(segs[i], segs[j]):
-                    crossing.append((edges[i], edges[j]))
+        crossing = [(edges[i], edges[j]) for i, j in _conflict_pairs(h, edges)]
 
     tree_flows: list[tuple[int, int]] = []
     if c.require_acyclic and h.n > 1:
@@ -325,6 +329,20 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     and LimitsExceededError when caps bite before any incumbent exists;
     otherwise a capped search returns its incumbent with
     proven_optimal=False.
+
+    The bound is kept incrementally. Each hyperedge's weight matrix is
+    updated in place as edges are decided and undone, and each node hands
+    its per-hyperedge completions (value and Prim parent array) to its
+    children. A child runs Prim again only for the hyperedges its branch
+    can have changed: on the include branch, those containing the branched
+    edge and those whose tree used a conflicting edge forced out; on the
+    exclude branch, those whose tree used the excluded edge. A non-tree
+    edge at most set a distance that a strictly smaller one later
+    replaced, so forbidding it leaves every choice of Prim (strict
+    improvement, first minimum), the parent array and the summed value
+    unchanged, bit for bit. A clean value that already prunes ends the node
+    before any recomputation. Bounds, node counts and supports are therefore
+    those of recomputing every completion at every node.
     """
     limits = limits or SolveLimits()
     cands = candidate_edges(h)
@@ -332,42 +350,49 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     m = len(order)
     elen = [h.edge_length(*e) for e in order]
     idx_of = {e: i for i, e in enumerate(order)}
+    inf = math.inf
+    k = h.k
 
-    members_sorted = [sorted(s) for s in h.hyperedges]
-    hyp_pairs: list[list[tuple[int, int, int]]] = []
-    for mem in members_sorted:
-        pairs = []
+    # weights[s] is hyperedge s's local weight matrix under the current
+    # status (0.0 in, inf out, the length when undecided); edge_locals[e]
+    # lists the (s, i, j) cells edge e occupies.
+    weights: list[list[list[float]]] = []
+    edge_locals: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for s, hyp in enumerate(h.hyperedges):
+        mem = sorted(hyp)
+        w = [[inf] * len(mem) for _ in mem]
         for i in range(len(mem)):
             for j in range(i + 1, len(mem)):
-                pairs.append((i, j, idx_of[(mem[i], mem[j])]))
-        hyp_pairs.append(pairs)
+                eidx = idx_of[(mem[i], mem[j])]
+                w[i][j] = w[j][i] = elen[eidx]
+                edge_locals[eidx].append((s, i, j))
+        weights.append(w)
 
     conflicts: list[list[int]] = [[] for _ in range(m)]
     if c.require_plane:
-        segs = [h.segment(*e) for e in order]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if segments_conflict(segs[i], segs[j]):
-                    conflicts[i].append(j)
-                    conflicts[j].append(i)
+        for i, j in _conflict_pairs(h, order):
+            conflicts[i].append(j)
+            conflicts[j].append(i)
 
     status = bytearray(m)  # 0 undecided, 1 in, 2 out
-    inf = math.inf
 
-    def completion(s: int) -> float:
-        mem = members_sorted[s]
-        cnt = len(mem)
-        if cnt <= 1:
-            return 0.0
-        w = [[inf] * cnt for _ in range(cnt)]
-        for i, j, eidx in hyp_pairs[s]:
-            st = status[eidx]
-            if st == 2:
-                continue
-            val = 0.0 if st == 1 else elen[eidx]
+    def set_status(eidx: int, st: int) -> None:
+        status[eidx] = st
+        val = elen[eidx] if st == 0 else (0.0 if st == 1 else inf)
+        for s, i, j in edge_locals[eidx]:
+            w = weights[s]
             w[i][j] = w[j][i] = val
+
+    def completion(s: int):
+        """Prim from local vertex 0: (total, parent array), or (inf, None)
+        when the hyperedge cannot be connected."""
+        w = weights[s]
+        cnt = len(w)
+        if cnt <= 1:
+            return 0.0, ()
         dist = [inf] * cnt
         dist[0] = 0.0
+        parent = [-1] * cnt
         used = [False] * cnt
         total = 0.0
         for _ in range(cnt):
@@ -378,14 +403,21 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                     bd = dist[vtx]
                     best = vtx
             if best < 0:
-                return inf
+                return inf, None
             used[best] = True
             total += bd
             row = w[best]
             for vtx in range(cnt):
                 if not used[vtx] and row[vtx] < dist[vtx]:
                     dist[vtx] = row[vtx]
-        return total
+                    parent[vtx] = best
+        return total, parent
+
+    def tree_users(eidx: int, parents, into: set[int]) -> None:
+        for s, i, j in edge_locals[eidx]:
+            par = parents[s]
+            if par[i] == j or par[j] == i:
+                into.add(s)
 
     seed = _initial_incumbent(h, c)
     best_len, best_edges = seed if seed is not None else (None, None)
@@ -395,9 +427,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     nodes = 0
     committed = 0.0
     t_start = time.perf_counter()
-    k = h.k
 
-    def dfs(depth: int) -> None:
+    def dfs(depth: int, values: list[float], parents: list, dirty: set[int]) -> None:
         nonlocal nodes, best_len, best_edges, committed
         nodes += 1
         if limits.node_cap is not None and nodes > limits.node_cap:
@@ -406,13 +437,21 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                 and time.perf_counter() - t_start > limits.time_cap:
             raise _Capped
 
-        worst = 0.0
-        for s in range(k):
-            comp = completion(s)
-            if comp == inf:
-                return
-            if comp > worst:
-                worst = comp
+        if dirty:
+            if best_len is not None:
+                limit = best_len + _TOL
+                for s in range(k):
+                    if s not in dirty and committed + values[s] > limit:
+                        return
+            values = values[:]
+            parents = parents[:]
+            for s in dirty:
+                comp, par = completion(s)
+                if comp == inf:
+                    return
+                values[s] = comp
+                parents[s] = par
+        worst = max(values, default=0.0)
         if best_len is not None and committed + worst > best_len + _TOL:
             return
         if worst <= 0.0:
@@ -436,32 +475,35 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
         if feasible and gdsu is not None and gdsu.connected(u, v):
             feasible = False
         if feasible:
-            status[d] = 1
+            set_status(d, 1)
             token = gdsu.union(u, v) if gdsu is not None else None
+            changed = {s for s, _, _ in edge_locals[d]}
             forced: list[int] = []
             if c.require_plane:
                 for j in conflicts[d]:
                     if status[j] == 0:
-                        status[j] = 2
+                        set_status(j, 2)
                         forced.append(j)
+                        tree_users(j, parents, changed)
             included.append(d)
             committed += elen[d]
-            dfs(d + 1)
+            dfs(d + 1, values, parents, changed)
             committed -= elen[d]
             included.pop()
             for j in forced:
-                status[j] = 0
+                set_status(j, 0)
             if token is not None:
                 gdsu.undo(token)
-            status[d] = 0
 
-        status[d] = 2
-        dfs(d + 1)
-        status[d] = 0
+        set_status(d, 2)
+        changed = set()
+        tree_users(d, parents, changed)
+        dfs(d + 1, values, parents, changed)
+        set_status(d, 0)
 
     capped = False
     try:
-        dfs(0)
+        dfs(0, [0.0] * k, [()] * k, set(range(k)))
     except _Capped:
         capped = True
 
@@ -488,12 +530,9 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
 
     conflicts: list[list[int]] = [[] for _ in range(m)]
     if c.require_plane:
-        segs = [h.segment(*e) for e in edges]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if segments_conflict(segs[i], segs[j]):
-                    conflicts[i].append(j)
-                    conflicts[j].append(i)
+        for i, j in _conflict_pairs(h, edges):
+            conflicts[i].append(j)
+            conflicts[j].append(i)
 
     members_sorted = [sorted(s) for s in h.hyperedges]
     local_index = [{v: i for i, v in enumerate(mem)} for mem in members_sorted]

@@ -8,8 +8,8 @@ from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededEr
                                   solve_exact)
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.heuristics import mst_approximation
-from plane_supports.model import (ALL_CONSTRAINTS, Hypergraph, PLANE, PLANE_TREE, TREE,
-                                  UNRESTRICTED, satisfies, total_length)
+from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
+                                  PLANE_TREE, TREE, UNRESTRICTED, satisfies, total_length)
 from plane_supports.mst import emst
 
 
@@ -165,6 +165,80 @@ def test_node_cap_returns_unproven_incumbent():
     full = solve_exact(h, UNRESTRICTED)
     assert full.proven_optimal
     assert full.length <= res.length + 1e-9
+
+
+# (n, k, seed of a MID instance, regime, node cap) -> (nodes explored,
+# length, proven optimal, sorted edges), recorded from the solver that ran
+# Prim for every hyperedge at every node. The incremental bound must explore
+# the same tree and return the same support.
+_SEARCH_PINS = {
+    (8, 2, 4, "u", None): (841, 196.61409259919296, True,
+                           [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
+    (8, 2, 4, "t", None): (676, 196.61409259919296, True,
+                           [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
+    (8, 2, 4, "p", None): (429, 196.61409259919296, True,
+                           [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
+    (8, 2, 4, "pt", None): (365, 196.61409259919296, True,
+                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
+    (8, 3, 2, "u", None): (461, 208.53608233936453, True,
+                           [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
+    (8, 3, 2, "t", None): (402, 208.53608233936453, True,
+                           [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
+    (8, 3, 2, "p", None): (399, 213.43091622996988, True,
+                           [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
+    (8, 3, 2, "pt", None): (341, 213.43091622996988, True,
+                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
+    (8, 3, 4, "u", None): (2465, 321.0899351015403, True,
+                           [(0, 2), (0, 3), (0, 6), (0, 7), (1, 4), (1, 5), (4, 6), (5, 7)]),
+    (8, 3, 4, "t", None): (5053, 343.8862859244787, True,
+                           [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (4, 6)]),
+    (8, 3, 4, "p", None): (1801, 341.06149592494125, True,
+                           [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (5, 7)]),
+    (8, 3, 4, "pt", None): (3814, 401.8008524345189, True,
+                            [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
+    (9, 2, 4, "u", None): (251, 255.32303601974525, True,
+                           [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
+    (9, 2, 4, "t", None): (242, 255.32303601974525, True,
+                           [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
+    (9, 2, 4, "p", None): (243, 258.1415682502174, True,
+                           [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
+    (9, 2, 4, "pt", None): (236, 258.1415682502174, True,
+                            [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
+    (9, 3, 3, "u", None): (347, 258.7099600811283, True,
+                           [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
+    (9, 3, 3, "t", None): (255, 258.7099600811283, True,
+                           [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
+    (9, 3, 3, "p", None): (235, 258.7099600811283, True,
+                           [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
+    (9, 3, 3, "pt", None): (179, 258.7099600811283, True,
+                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
+    (9, 3, 7, "u", None): (2115, 272.61727593091393, True,
+                           [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7),
+                            (5, 7)]),
+    (9, 3, 7, "t", None): (2382, 277.8394986707699, True,
+                           [(0, 1), (1, 4), (1, 5), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7)]),
+    (9, 3, 7, "p", None): (803, 283.55605063891556, True,
+                           [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
+                            (6, 8)]),
+    (9, 3, 7, "pt", None): (1301, 301.3161961526688, True,
+                            [(0, 1), (1, 4), (1, 5), (1, 7), (1, 8), (2, 7), (3, 4), (4, 6)]),
+    # Capped after the search has improved on the heuristic seed (301.32 and
+    # 348.93) but before it has proven that improvement optimal.
+    (9, 3, 7, "p", 400): (401, 283.55605063891556, False,
+                          [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
+                           (6, 8)]),
+    (9, 3, 11, "p", 1000): (1001, 341.5454344156613, False,
+                            [(0, 5), (1, 4), (1, 7), (2, 5), (3, 5), (3, 7), (4, 5), (5, 6),
+                             (5, 8)]),
+}
+
+
+def test_search_tree_and_supports_are_pinned():
+    for (n, k, seed, label, cap), expected in _SEARCH_PINS.items():
+        h = generate(n, k, DegreeScheme.MID, random.Random(seed))
+        res = solve_exact(h, ConstraintSet.from_label(label), SolveLimits(node_cap=cap))
+        got = (res.nodes_explored, res.length, res.proven_optimal, res.support.sorted_edges())
+        assert got == expected, (n, k, seed, label, cap)
 
 
 def test_limits_without_incumbent_raise():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
-from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables, local_search,
+from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
+                                       _execute_sequence, _union_support, local_search,
                                        local_search_round, local_search_seeded,
                                        mst_approximation, mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
@@ -103,6 +104,33 @@ def test_iteration_reports_pass_count_for_many_hyperedges():
     rep = mst_iteration(h)
     assert rep.rounds_or_passes >= 1
     assert satisfies(rep.support, h, UNRESTRICTED)
+
+
+def test_recomputing_a_tree_never_lengthens_the_support():
+    # A step rebuilds its tree with the other trees' edges free, so replacing
+    # an existing tree can only shorten the union. Replayed one step at a
+    # time: both three-step orders for k=2, round-robin passes from the EMSTs
+    # for k>2 (as mst_iteration runs them), and longer explicit sequences.
+    rng = random.Random(29)
+    pool = [generate(12, 2 + i % 4, DegreeScheme(("even", "mid", "low", "high")[i % 4]),
+                     random.Random(3000 + i)) for i in range(24)]
+    pool += [_grid_instance(rng) for _ in range(8)]
+    recomputed = 0
+    for h in pool:
+        cycle = list(range(h.k))
+        if h.k == 2:
+            runs = [({}, [0, 1, 0]), ({}, [1, 0, 1]), ({}, [0, 1, 0, 1, 0, 1])]
+        else:
+            emsts = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in cycle}
+            runs = [(emsts, cycle * 4), ({}, cycle * 3)]
+        for trees, steps in runs:
+            for s in steps:
+                before = total_length(_union_support(trees), h) if s in trees else None
+                trees = _execute_sequence(h, [s], trees)
+                if before is not None:
+                    assert total_length(_union_support(trees), h) <= before + 1e-6, (h.k, s)
+                    recomputed += 1
+    assert recomputed > 300
 
 
 def test_local_search_round_no_improvement_on_tiny_star():

@@ -18,7 +18,7 @@ from .heuristics import (ComputationSequence, SolveReport, local_search,
                          mst_iteration)
 from .exact import (ExactResult, IlpModel, InfeasibleError, LimitsExceededError,
                     SolveLimits, brute_force_oracle, build_model, emit_lp, solve_exact)
-from .gen import DegreeScheme, adversarial_family, degree_array, generate, make_rng
+from .gen import DegreeScheme, adversarial_family, degree_array, generate
 from .harness import (TrialConfig, TrialRecord, records_to_csv, run_grid, run_trial,
                       summarize)
 from .fileio import (ParseError, RenderStyle, parse_hypergraph, parse_support,

@@ -7,6 +7,7 @@ checked support that violates its constraints), 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -62,6 +63,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.seed_support is not None and args.algo != "local-search":
+        raise _UsageError("--seed-support only applies to --algo local-search")
+    if (args.node_cap is not None or args.time_cap is not None) and args.algo != "exact":
+        raise _UsageError("--node-cap and --time-cap only apply to --algo exact")
     h = _load_instance(args.infile)
     constraints = ConstraintSet.from_label(args.constraints)
     if not combination_supported(args.algo, constraints):
@@ -178,7 +183,13 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process-wide parser, built on the first call.
+
+    Every later call, and so every ``main`` call, reuses it: parsing keeps no
+    state on the parser, since each ``parse_args`` returns a fresh namespace.
+    """
     parser = _Parser(prog="plane-supports",
                      description="Short supports of spatial hypergraphs.")
     sub = parser.add_subparsers(dest="command", required=True)

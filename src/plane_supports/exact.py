@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .geom import segments_conflict
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
-                    UNRESTRICTED, candidate_edges, satisfies, total_length)
+                    UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
+                    total_length)
 from .heuristics import local_search, mst_iteration, _UndoDsu
 from .mst import EmptyCoreError
 
@@ -68,14 +69,6 @@ class IlpModel:
                 raise ValueError("flow bound must be |s| - 1")
 
 
-def _conflict_pairs(h: Hypergraph, edges) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of edges whose segments conflict, in
-    row-major order."""
-    segs = [h.segment(*e) for e in edges]
-    return [(i, j) for i in range(len(segs)) for j in range(i + 1, len(segs))
-            if segments_conflict(segs[i], segs[j])]
-
-
 def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
     """Assemble the integer model for h under the given constraint set.
 
@@ -101,7 +94,7 @@ def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
 
     crossing: list[tuple[Edge, Edge]] = []
     if c.require_plane:
-        crossing = [(edges[i], edges[j]) for i, j in _conflict_pairs(h, edges)]
+        crossing = [(edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges)]
 
     tree_flows: list[tuple[int, int]] = []
     if c.require_acyclic and h.n > 1:
@@ -370,7 +363,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
 
     conflicts: list[list[int]] = [[] for _ in range(m)]
     if c.require_plane:
-        for i, j in _conflict_pairs(h, order):
+        for i, j in conflict_index_pairs(h, order):
             conflicts[i].append(j)
             conflicts[j].append(i)
 
@@ -530,7 +523,7 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
 
     conflicts: list[list[int]] = [[] for _ in range(m)]
     if c.require_plane:
-        for i, j in _conflict_pairs(h, edges):
+        for i, j in conflict_index_pairs(h, edges):
             conflicts[i].append(j)
             conflicts[j].append(i)
 

@@ -25,13 +25,6 @@ TAIL_SIGMA = 2 / 5
 # members even though the degree mass makes a valid assignment possible.
 _MAX_ASSIGN_ATTEMPTS = 200
 
-Rng = random.Random
-
-
-def make_rng(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
 class DegreeScheme(str, Enum):
     EVEN = "even"
     MID = "mid"

@@ -7,6 +7,7 @@ value; the validators are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .geom import Point, Segment, distance, segments_conflict
@@ -138,8 +139,6 @@ class SupportGraph:
         return len(self.edges)
 
 
-EMPTY_SUPPORT = SupportGraph(frozenset())
-
 _LABELS = {(False, False): "u", (False, True): "t", (True, False): "p", (True, True): "pt"}
 
 
@@ -199,16 +198,20 @@ def is_support(g: SupportGraph, h: Hypergraph) -> bool:
     return all(hyperedge_induced_connected(g, h, i) for i in range(h.k))
 
 
+def conflict_index_pairs(h: Hypergraph, edges) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of edges whose segments conflict, in
+    row-major order. Lazy, so a caller can stop at the first conflict."""
+    segs = [h.segment(u, v) for u, v in edges]
+    for i, seg in enumerate(segs):
+        for j in range(i + 1, len(segs)):
+            if segments_conflict(seg, segs[j]):
+                yield i, j
+
+
 def conflicting_edge_pairs(g: SupportGraph, h: Hypergraph) -> list[tuple[Edge, Edge]]:
     """All pairs of distinct support edges whose segments conflict."""
     edges = g.sorted_edges()
-    segs = [h.segment(u, v) for u, v in edges]
-    out = []
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if segments_conflict(segs[i], segs[j]):
-                out.append((edges[i], edges[j]))
-    return out
+    return [(edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges)]
 
 
 def crossing_count(g: SupportGraph, h: Hypergraph) -> int:
@@ -217,13 +220,7 @@ def crossing_count(g: SupportGraph, h: Hypergraph) -> int:
 
 def is_plane(g: SupportGraph, h: Hypergraph) -> bool:
     """True iff no two distinct support edges conflict."""
-    edges = g.sorted_edges()
-    segs = [h.segment(u, v) for u, v in edges]
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if segments_conflict(segs[i], segs[j]):
-                return False
-    return True
+    return next(conflict_index_pairs(h, g.sorted_edges()), None) is None
 
 
 def is_acyclic(g: SupportGraph) -> bool:

@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from plane_supports import cli
 from plane_supports.cli import main
 from plane_supports.fileio import parse_hypergraph, parse_support, serialize_hypergraph
 from plane_supports.model import ConstraintSet, Hypergraph, satisfies, total_length
@@ -90,6 +91,73 @@ def test_usage_and_parse_errors_exit_one(tmp_path):
                "--seed", "1", "--out", str(good)) == 0
     assert run("solve", "--in", str(good), "--algo", "mst-approx",
                "--constraints", "pt", "--out", str(out)) == 1
+    # flags that only one algorithm reads are refused for the others
+    seed_sup = tmp_path / "seed.sup"
+    assert run("solve", "--in", str(good), "--algo", "mst-iter", "--out", str(seed_sup)) == 0
+    for algo in ("mst-approx", "mst-iter", "exact"):
+        assert run("solve", "--in", str(good), "--algo", algo,
+                   "--seed-support", str(seed_sup), "--out", str(out)) == 1
+    for algo in ("mst-approx", "mst-iter", "local-search"):
+        for flag, value in (("--node-cap", "100"), ("--time-cap", "1.5")):
+            assert run("solve", "--in", str(good), "--algo", algo,
+                       flag, value, "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_flag_combination_errors_name_the_algorithm(tmp_path, capsys):
+    hg_path = tmp_path / "x.hg"
+    hg_path.write_text(X_CONFIG_HG)
+    out = tmp_path / "x.sup"
+    assert run("solve", "--in", str(hg_path), "--algo", "exact",
+               "--seed-support", str(out), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --seed-support only applies to --algo local-search\n"
+    assert run("solve", "--in", str(hg_path), "--algo", "mst-iter",
+               "--node-cap", "5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: --node-cap and --time-cap only apply to --algo exact\n"
+    # the exact solver still takes both caps
+    assert run("solve", "--in", str(hg_path), "--algo", "exact", "--node-cap", "1000",
+               "--time-cap", "10", "--out", str(out)) == 0
+
+
+def test_repeated_main_calls_reuse_one_parser(tmp_path, monkeypatch, capsys):
+    used = []
+    parse_args = cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    hg_path = tmp_path / "x.hg"
+    hg_path.write_text(X_CONFIG_HG)
+    sup_path = tmp_path / "x.sup"
+    lp_path = tmp_path / "x.lp"
+
+    def sequence():
+        codes = [run("solve", "--in", str(hg_path), "--algo", "exact", "--constraints", "t",
+                     "--out", str(sup_path), "--report"),
+                 run("emit-lp", "--in", str(hg_path), "--constraints", "p",
+                     "--out", str(lp_path)),
+                 run("check", "--in", str(hg_path), "--support", str(sup_path),
+                     "--constraints", "t")]
+        out = [line for line in capsys.readouterr().out.splitlines()
+               if not line.startswith("time_ms ")]
+        return codes, out, sup_path.read_bytes(), lp_path.read_bytes()
+
+    first = sequence()
+    assert first[0] == [0, 0, 0]
+    bad = tmp_path / "bad.hg"
+    bad.write_text("H x y\n")
+    assert run("nope") == 1
+    assert run("solve", "--algo", "nonsense") == 1
+    assert run("solve", "--in", str(hg_path), "--algo", "exact") == 1
+    assert run("check", "--in", str(bad), "--support", str(sup_path)) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4 and all(e.startswith("error: ") for e in errors)
+    assert "--out" in errors[2]
+    assert sequence() == first
+    assert len(used) == 10
+    assert all(parser is used[0] for parser in used)
 
 
 def test_family_and_render(tmp_path):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import plane_supports.model as model
+from plane_supports.geom import segments_conflict
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
                                   PLANE_TREE, SupportGraph, TREE, UNRESTRICTED,
-                                  candidate_edges, crossing_count,
+                                  candidate_edges, conflicting_edge_pairs, crossing_count,
                                   hyperedge_induced_connected, is_acyclic, is_plane,
                                   is_support, satisfies, total_length)
 from plane_supports.mst import star_support
@@ -84,6 +86,30 @@ def test_is_plane_examples():
     h = hg([(0, 0), (1, 0), (0, 1)], [{0, 1, 2}])
     assert is_plane(SupportGraph.from_pairs([(0, 1)]), h)
     assert is_plane(SupportGraph.from_pairs([(0, 1), (0, 2)]), h)
+
+
+def test_conflict_pairs_in_row_major_order_and_is_plane_stops_at_first(monkeypatch):
+    for seed in range(20):
+        h = generate(9, 3, DegreeScheme.MID, random.Random(seed))
+        cands = candidate_edges(h)
+        g = SupportGraph.from_pairs(random.Random(seed).sample(cands, min(8, len(cands))))
+        edges = g.sorted_edges()
+        expected = [(a, b) for i, a in enumerate(edges) for b in edges[i + 1:]
+                    if segments_conflict(h.segment(*a), h.segment(*b))]
+        assert conflicting_edge_pairs(g, h) == expected
+        assert is_plane(g, h) == (not expected)
+
+    calls = []
+
+    def counting(s1, s2):
+        calls.append((s1, s2))
+        return segments_conflict(s1, s2)
+
+    monkeypatch.setattr(model, "segments_conflict", counting)
+    h = hg([(0, 0), (2, 2), (0, 2), (2, 0), (5, 0), (6, 0)], [{0, 1, 2, 3, 4, 5}])
+    # (0, 1) and (2, 3) cross and come first; (4, 5) is never tested.
+    assert not is_plane(SupportGraph.from_pairs([(0, 1), (2, 3), (4, 5)]), h)
+    assert len(calls) == 1
 
 
 def test_is_acyclic_examples():

@@ -12,7 +12,7 @@ from .model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE, PLANE_TRE
                     SupportGraph, TREE, UNRESTRICTED, candidate_edges, crossing_count,
                     hyperedge_induced_connected, is_acyclic, is_plane, is_support,
                     satisfies, total_length)
-from .mst import EmptyCoreError, emst, mst_with_free_edges, star_support, weighted_edge_list
+from .mst import EmptyCoreError, emst, mst_with_free_edges, star_support
 from .heuristics import (ComputationSequence, SolveReport, local_search,
                          local_search_round, local_search_seeded, mst_approximation,
                          mst_iteration)

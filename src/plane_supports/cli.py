@@ -18,8 +18,7 @@ from .fileio import ParseError, parse_hypergraph, parse_support, render_svg, ser
 from .gen import DegreeScheme, adversarial_family, generate
 from .harness import TrialConfig, combination_supported, records_to_csv, run_grid
 from .heuristics import local_search, local_search_seeded, mst_approximation, mst_iteration
-from .model import (ConstraintSet, crossing_count, hyperedge_induced_connected,
-                    is_acyclic, is_support, satisfies, total_length)
+from .model import ConstraintSet, crossing_count, hyperedge_induced_connected, is_acyclic, total_length
 from .mst import EmptyCoreError
 
 EXIT_OK = 0
@@ -118,18 +117,24 @@ def _cmd_check(args) -> int:
     h = _load_instance(args.infile)
     g = parse_support(_read(args.support), h)
     print(f"length {total_length(g, h):.6f}")
-    print(f"crossings {crossing_count(g, h)}")
-    print(f"acyclic {str(is_acyclic(g)).lower()}")
+    crossings = crossing_count(g, h)
+    print(f"crossings {crossings}")
+    acyclic = is_acyclic(g)
+    print(f"acyclic {str(acyclic).lower()}")
     # With an empty core, 'acyclic' can only ever mean a forest, never a
     # single spanning tree; worth surfacing when reading results.
     print(f"core_size {len(h.core())}")
-    for s in range(h.k):
-        ok = hyperedge_induced_connected(g, h, s)
+    connected = [hyperedge_induced_connected(g, h, s) for s in range(h.k)]
+    for s, ok in enumerate(connected):
         print(f"hyperedge {s} {'connected' if ok else 'DISCONNECTED'}")
-    print(f"support {str(is_support(g, h)).lower()}")
+    support = all(connected)
+    print(f"support {str(support).lower()}")
     if args.constraints:
         constraints = ConstraintSet.from_label(args.constraints)
-        ok = satisfies(g, h, constraints)
+        # model.satisfies, read off the values printed above: is_plane is
+        # crossings == 0 and is_support is every hyperedge connected.
+        ok = (support and (not constraints.require_plane or crossings == 0)
+              and (not constraints.require_acyclic or acyclic))
         print(f"satisfies {constraints.label} {str(ok).lower()}")
         if not ok:
             return EXIT_INFEASIBLE

@@ -1,9 +1,17 @@
 """Planar geometry primitives: distance, orientation, segment conflicts.
 
-Coordinates are plain floats. Predicates use an absolute tolerance on the
-cross product instead of exact arithmetic, which is plenty for the
-coordinate scales this package works at (generated instances live in a
-100 x 100 square).
+Coordinates are plain floats. Predicates compare the cross product against
+ORIENT_EPS, an absolute tolerance, instead of using exact arithmetic, which
+is plenty for the coordinate scales this package works at (generated
+instances live in a 100 x 100 square). segments_conflict and
+SegmentConflicts compute the cross products of orientation() inline on the
+raw coordinates, with the same operands and the same ORIENT_EPS cut, so
+they give its answers exactly.
+
+Because the tolerance is absolute, answers change under scaling:
+(0, 0)-(2, 2) and (1, 0)-(3, 1) do not conflict, but with every coordinate
+multiplied by 1e-5 all four cross products fall below ORIENT_EPS, so the
+segments read as collinear and overlapping, hence conflicting.
 """
 
 from __future__ import annotations
@@ -49,32 +57,25 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-def _turn(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> int:
-    """Sign of (q-p) x (r-p) as -1, 0 or 1, with |cross| <= ORIENT_EPS as 0."""
-    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    if cross > ORIENT_EPS:
-        return 1
-    if cross < -ORIENT_EPS:
-        return -1
-    return 0
-
-
-# Indexed by _turn's result; -1 picks the last.
-_ORIENTATIONS = (Orientation.COLLINEAR, Orientation.COUNTERCLOCKWISE, Orientation.CLOCKWISE)
-
-
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Turn direction of the path p -> q -> r (sign of (q-p) x (r-p))."""
-    return _ORIENTATIONS[_turn(p.x, p.y, q.x, q.y, r.x, r.y)]
+    """Turn direction of the path p -> q -> r (sign of (q-p) x (r-p)),
+    COLLINEAR when |cross| <= ORIENT_EPS."""
+    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    if cross > ORIENT_EPS:
+        return Orientation.COUNTERCLOCKWISE
+    if cross < -ORIENT_EPS:
+        return Orientation.CLOCKWISE
+    return Orientation.COLLINEAR
 
 
-def _strictly_between(a: Point, b: Point, p: Point) -> bool:
+def _strictly_between(ax: float, ay: float, bx: float, by: float,
+                      px: float, py: float) -> bool:
     # p is already known to be collinear with a-b; true iff p lies on the
     # closed segment but is not one of its endpoints.
-    if p == a or p == b:
+    if (px == ax and py == ay) or (px == bx and py == by):
         return False
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+    return ((ax <= px <= bx or bx <= px <= ax)
+            and (ay <= py <= by or by <= py <= ay))
 
 
 def segments_conflict(s1: Segment, s2: Segment) -> bool:
@@ -82,30 +83,35 @@ def segments_conflict(s1: Segment, s2: Segment) -> bool:
 
     Segments meeting only at one shared endpoint do not conflict. Collinear
     overlaps conflict, as does a segment whose interior passes through the
-    other's endpoint.
+    other's endpoint. The four cross products are those of orientation(),
+    with the same operands and the same ORIENT_EPS cut, computed on the
+    raw coordinates.
     """
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    if {a, b} == {c, d}:
+    a, b, c, d = s1.a, s1.b, s2.a, s2.b
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    cx, cy, dx, dy = c.x, c.y, d.x, d.y
+    if ((ax == cx and ay == cy and bx == dx and by == dy)
+            or (ax == dx and ay == dy and bx == cx and by == cy)):
         return True
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
+    abx, aby, cdx, cdy = bx - ax, by - ay, dx - cx, dy - cy
+    # Signs of orientation(a, b, c), (a, b, d), (c, d, a) and (c, d, b).
+    cross = abx * (cy - ay) - aby * (cx - ax)
+    o1 = 1 if cross > ORIENT_EPS else -1 if cross < -ORIENT_EPS else 0
+    cross = abx * (dy - ay) - aby * (dx - ax)
+    o2 = 1 if cross > ORIENT_EPS else -1 if cross < -ORIENT_EPS else 0
+    cross = cdx * (ay - cy) - cdy * (ax - cx)
+    o3 = 1 if cross > ORIENT_EPS else -1 if cross < -ORIENT_EPS else 0
+    cross = cdx * (by - cy) - cdy * (bx - cx)
+    o4 = 1 if cross > ORIENT_EPS else -1 if cross < -ORIENT_EPS else 0
     # Proper crossing: each segment's endpoints strictly straddle the other.
     if o1 * o2 < 0 and o3 * o4 < 0:
         return True
     # Touching cases: an endpoint in the other segment's interior. This also
     # covers every collinear overlap of non-identical segments.
-    if o1 == Orientation.COLLINEAR and _strictly_between(a, b, c):
-        return True
-    if o2 == Orientation.COLLINEAR and _strictly_between(a, b, d):
-        return True
-    if o3 == Orientation.COLLINEAR and _strictly_between(c, d, a):
-        return True
-    if o4 == Orientation.COLLINEAR and _strictly_between(c, d, b):
-        return True
-    return False
+    return ((o1 == 0 and _strictly_between(ax, ay, bx, by, cx, cy))
+            or (o2 == 0 and _strictly_between(ax, ay, bx, by, dx, dy))
+            or (o3 == 0 and _strictly_between(cx, cy, dx, dy, ax, ay))
+            or (o4 == 0 and _strictly_between(cx, cy, dx, dy, bx, by)))
 
 
 class SegmentConflicts:
@@ -121,7 +127,6 @@ class SegmentConflicts:
     """
 
     def __init__(self, points, pairs):
-        self.points = points
         self.xs = [p.x for p in points]
         self.ys = [p.y for p in points]
         self.pairs = list(pairs)
@@ -136,23 +141,30 @@ class SegmentConflicts:
         """For each point, the pairs whose segment has it in its interior.
         Only points within the segment's x-range are tried."""
         if self._through is None:
-            pts, xs, ys = self.points, self.xs, self.ys
-            by_x = sorted(range(len(pts)), key=xs.__getitem__)
+            xs, ys = self.xs, self.ys
+            by_x = sorted(range(len(xs)), key=xs.__getitem__)
             sorted_x = [xs[v] for v in by_x]
             self._through = {}
             for c, d in self.pairs:
                 cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
+                cdx, cdy = dx - cx, dy - cy
                 for v in by_x[bisect_left(sorted_x, min(cx, dx)):
                               bisect_right(sorted_x, max(cx, dx))]:
-                    if (_turn(cx, cy, dx, dy, xs[v], ys[v]) == 0
-                            and _strictly_between(pts[c], pts[d], pts[v])):
+                    vx, vy = xs[v], ys[v]
+                    cross = cdx * (vy - cy) - cdy * (vx - cx)
+                    if (not (cross > ORIENT_EPS or cross < -ORIENT_EPS)
+                            and _strictly_between(cx, cy, dx, dy, vx, vy)):
                         self._through.setdefault(v, []).append((c, d))
         return self._through
 
     def conflicting(self, a: int, b: int) -> set[tuple[int, int]]:
-        pts, xs, ys = self.points, self.xs, self.ys
+        xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-        sides = [_turn(ax, ay, bx, by, x, y) for x, y in zip(xs, ys)]
+        abx, aby = bx - ax, by - ay
+        # Each point's side of the query line, as the sign of
+        # orientation(points[a], points[b], point).
+        crosses = [abx * (y - ay) - aby * (x - ax) for x, y in zip(xs, ys)]
+        sides = [1 if cr > ORIENT_EPS else -1 if cr < -ORIENT_EPS else 0 for cr in crosses]
         # Identical segments, and touching: an endpoint of either segment in
         # the other's interior.
         out = {(a, b)} & self._pair_set
@@ -160,13 +172,17 @@ class SegmentConflicts:
         out.update(through.get(a, ()))
         out.update(through.get(b, ()))
         for v, side in enumerate(sides):
-            if side == 0 and _strictly_between(pts[a], pts[b], pts[v]):
+            if side == 0 and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
                 out.update(self._ending.get(v, ()))
         # Proper crossings: each segment's endpoints strictly straddle the
         # other.
         for c, d in self.pairs:
             if sides[c] * sides[d] < 0:
-                cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
-                if _turn(cx, cy, dx, dy, ax, ay) * _turn(cx, cy, dx, dy, bx, by) < 0:
+                cx, cy = xs[c], ys[c]
+                cdx, cdy = xs[d] - cx, ys[d] - cy
+                ca = cdx * (ay - cy) - cdy * (ax - cx)
+                cb = cdx * (by - cy) - cdy * (bx - cx)
+                if ((ca > ORIENT_EPS and cb < -ORIENT_EPS)
+                        or (ca < -ORIENT_EPS and cb > ORIENT_EPS)):
                     out.add((c, d))
         return out

@@ -20,30 +20,6 @@ class EmptyCoreError(Exception):
     """No vertex is shared by all hyperedges, so the star seed is undefined."""
 
 
-def weighted_edge_list(ids, free, h: Hypergraph) -> list[tuple[int, int, float]]:
-    """All candidate edges on `ids` with their working weights.
-
-    Entries are (u, v, w) with u < v; w is 0 for free edges and the exact
-    Euclidean distance otherwise.
-    """
-    id_list = sorted(set(ids))
-    id_set = set(id_list)
-    free_set = set()
-    for a, b in free:
-        e = edge_key(a, b)
-        if e[0] not in id_set or e[1] not in id_set:
-            raise ValueError(f"free edge {e} has an endpoint outside the vertex set")
-        free_set.add(e)
-    pos = h.vertices
-    out = []
-    for i in range(len(id_list)):
-        for j in range(i + 1, len(id_list)):
-            u, v = id_list[i], id_list[j]
-            w = 0.0 if (u, v) in free_set else distance(pos[u], pos[v])
-            out.append((u, v, w))
-    return out
-
-
 def mst_with_free_edges(ids, free, h: Hypergraph) -> SupportGraph:
     """Prim's algorithm where edges in `free` weigh zero.
 

@@ -1,11 +1,17 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from plane_supports import cli
 from plane_supports.cli import main
-from plane_supports.fileio import parse_hypergraph, parse_support, serialize_hypergraph
-from plane_supports.model import ConstraintSet, Hypergraph, satisfies, total_length
+from plane_supports.fileio import (parse_hypergraph, parse_support, serialize_hypergraph,
+                                   serialize_support)
+from plane_supports.gen import DegreeScheme, generate
+from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, SupportGraph,
+                                  candidate_edges, crossing_count, hyperedge_induced_connected,
+                                  is_acyclic, is_support, satisfies, total_length)
+from plane_supports.mst import star_support
 
 
 X_CONFIG_HG = ("H 4 2\n"
@@ -76,6 +82,47 @@ def test_infeasible_exit_codes(tmp_path):
     assert run("check", "--in", str(hg_path), "--support", str(sup_path),
                "--constraints", "p") == 2
     assert run("check", "--in", str(hg_path), "--support", str(sup_path)) == 0
+
+
+def test_check_output_matches_model_predicates(tmp_path, capsys):
+    # Random edge subsets of random instances: crossing, cyclic and
+    # disconnected supports, checked in all four regimes. The expected
+    # output is built from the model's own predicates, satisfies included.
+    rng = random.Random(61)
+    hg_path = tmp_path / "inst.hg"
+    sup_path = tmp_path / "inst.sup"
+    seen = {"plane tree support": 0, "crossing support": 0, "cyclic support": 0,
+            "not a support": 0}
+    for trial in range(24):
+        h = generate(rng.randint(6, 10), rng.randint(2, 3), DegreeScheme.MID, rng)
+        keep = rng.choice((0.2, 0.5, 0.9, None))
+        if keep is None:  # a plane support tree
+            g = star_support(h)
+        else:
+            g = SupportGraph(frozenset(e for e in candidate_edges(h) if rng.random() < keep))
+        hg_path.write_text(serialize_hypergraph(h))
+        sup_path.write_text(serialize_support(g))
+        support, crossings, acyclic = is_support(g, h), crossing_count(g, h), is_acyclic(g)
+        seen["plane tree support"] += support and crossings == 0 and acyclic
+        seen["crossing support"] += support and crossings > 0
+        seen["cyclic support"] += support and not acyclic
+        seen["not a support"] += not support
+        common = [f"length {total_length(g, h):.6f}", f"crossings {crossings}",
+                  f"acyclic {str(acyclic).lower()}", f"core_size {len(h.core())}"]
+        common += [f"hyperedge {s} "
+                   f"{'connected' if hyperedge_induced_connected(g, h, s) else 'DISCONNECTED'}"
+                   for s in range(h.k)]
+        common.append(f"support {str(support).lower()}")
+        for c in ALL_CONSTRAINTS:
+            ok = satisfies(g, h, c)
+            rc = run("check", "--in", str(hg_path), "--support", str(sup_path),
+                     "--constraints", c.label)
+            assert rc == (0 if ok else 2), (trial, c.label)
+            expected = common + [f"satisfies {c.label} {str(ok).lower()}"]
+            assert capsys.readouterr().out == "\n".join(expected) + "\n", (trial, c.label)
+        assert run("check", "--in", str(hg_path), "--support", str(sup_path)) == 0
+        assert capsys.readouterr().out == "\n".join(common) + "\n"
+    assert all(seen.values()), seen
 
 
 def test_usage_and_parse_errors_exit_one(tmp_path):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from plane_supports.geom import (Orientation, Point, Segment, SegmentConflicts, distance,
-                                 orientation, segments_conflict)
+from plane_supports.geom import (ORIENT_EPS, Orientation, Point, Segment, SegmentConflicts,
+                                 distance, orientation, segments_conflict)
 
 
 def seg(ax, ay, bx, by):
@@ -158,3 +158,117 @@ def test_bulk_conflicts_match_pairwise_predicate():
                 expected = {(i, j) for i, j in pairs
                             if segments_conflict(query, Segment(points[i], points[j]))}
                 assert bulk.conflicting(a, b) == expected, (trial, a, b)
+
+
+def _reference_conflict(s1, s2):
+    """segments_conflict as written on Point and Orientation before it moved
+    to raw float coordinates: the reference the float code must match."""
+    def strictly_between(a, b, p):
+        if p == a or p == b:
+            return False
+        return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+                and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+    a, b = s1.a, s1.b
+    c, d = s2.a, s2.b
+    if {a, b} == {c, d}:
+        return True
+    o1 = orientation(a, b, c)
+    o2 = orientation(a, b, d)
+    o3 = orientation(c, d, a)
+    o4 = orientation(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == Orientation.COLLINEAR and strictly_between(a, b, c))
+            or (o2 == Orientation.COLLINEAR and strictly_between(a, b, d))
+            or (o3 == Orientation.COLLINEAR and strictly_between(c, d, a))
+            or (o4 == Orientation.COLLINEAR and strictly_between(c, d, b)))
+
+
+def _reference_point_sets():
+    """Named point sets: uniform points, integer grids, jittered grids with
+    a step near 3e-5, so that cross products straddle ORIENT_EPS, points
+    whose cross products are exactly ORIENT_EPS, and points written with
+    +0.0 and -0.0."""
+    rng = random.Random(53)
+    sets = []
+    for _ in range(4):
+        sets.append(("uniform", [(rng.uniform(0, 100), rng.uniform(0, 100))
+                                 for _ in range(9)]))
+    sets.append(("grid", [(float(x), float(y)) for x in range(3) for y in range(3)]))
+    for _ in range(4):
+        sets.append(("grid", sorted({(float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+                                     for _ in range(10)})))
+    # A lattice triangle of area 1/2 has |cross| = step**2 = ORIENT_EPS;
+    # the jitter moves that by about 1%, to either side.
+    step = ORIENT_EPS ** 0.5
+    for _ in range(6):
+        sets.append(("near-eps", [(x * step + rng.uniform(-2e-7, 2e-7),
+                                   y * step + rng.uniform(-2e-7, 2e-7))
+                                  for x in range(3) for y in range(3)]))
+    # Cross products of exactly ORIENT_EPS, in either endpoint order: (0, 0)
+    # lies on (-1, 0)-(1, 1e-9) within the tolerance. (0, -5e-10)-(0, 1)
+    # crosses (1, 0)-(-1, 0), but its first endpoint counts as collinear with
+    # that segment and lies outside its bounding box, so they do not conflict.
+    sets.append(("at-eps", [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (1.0, 1e-9),
+                            (1.0, -1e-9), (0.5, 1.0), (0.0, -5e-10), (0.0, 1.0)]))
+    sets.append(("signed-zero", [(-0.0, 0.0), (0.0, 1.0), (-0.0, -1.0), (1.0, -0.0),
+                                 (-1.0, 0.0), (-1.0, -1.0), (1.0, 1.0)]))
+    return sets
+
+
+def test_conflicts_match_orientation_reference():
+    # Every ordered pair of segments on each point set, both endpoint orders
+    # of each, so identical segments come in both orientations.
+    kinds = {"identical": 0, "shared-endpoint": 0, "overlap": 0, "touch": 0,
+             "cross-below-eps": 0, "cross-above-eps": 0, "conflict-at-eps": 0,
+             "signed-zero": 0}
+    for kind, coords in _reference_point_sets():
+        points = [Point(x, y) for x, y in coords]
+        if kind == "signed-zero":
+            # The same points with every zero's sign flipped: equal to the
+            # originals, so shared endpoints may differ in the sign of 0.
+            points += [Point(-x if x == 0 else x, -y if y == 0 else y) for x, y in coords]
+        segs = [Segment(p, q) for p in points for q in points if p != q]
+        for s1 in segs:
+            for s2 in segs:
+                expected = _reference_conflict(s1, s2)
+                assert segments_conflict(s1, s2) is expected, (kind, s1, s2)
+                ends = {s1.a, s1.b} & {s2.a, s2.b}
+                collinear = (orientation(s1.a, s1.b, s2.a) == 0
+                             and orientation(s1.a, s1.b, s2.b) == 0)
+                if len(ends) == 2:
+                    kinds["identical"] += 1
+                elif len(ends) == 1 and not expected:
+                    kinds["shared-endpoint"] += 1
+                elif collinear and expected:
+                    kinds["overlap"] += 1
+                elif expected and (orientation(s1.a, s1.b, s2.a) == 0
+                                   or orientation(s1.a, s1.b, s2.b) == 0):
+                    kinds["touch"] += 1
+                if kind == "signed-zero" and expected:
+                    kinds["signed-zero"] += 1
+                p, q, r = s1.a, s1.b, s2.a
+                cross = abs((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+                if cross == ORIENT_EPS and expected:
+                    kinds["conflict-at-eps"] += 1
+                elif 0.9 * ORIENT_EPS < cross < ORIENT_EPS:
+                    kinds["cross-below-eps"] += 1
+                elif ORIENT_EPS < cross < 1.1 * ORIENT_EPS:
+                    kinds["cross-above-eps"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_bulk_conflicts_match_orientation_reference():
+    rng = random.Random(59)
+    for kind, coords in _reference_point_sets():
+        points = [Point(x, y) for x, y in coords]
+        pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))
+                 if rng.random() < 0.8]
+        bulk = SegmentConflicts(points, pairs)
+        for a in range(len(points)):
+            for b in range(a + 1, len(points)):
+                query = Segment(points[a], points[b])
+                expected = {(i, j) for i, j in pairs
+                            if _reference_conflict(query, Segment(points[i], points[j]))}
+                assert bulk.conflicting(a, b) == expected, (kind, a, b)

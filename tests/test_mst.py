@@ -6,8 +6,7 @@ import pytest
 
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.model import DisjointSet, Hypergraph, SupportGraph, total_length
-from plane_supports.mst import (EmptyCoreError, emst, mst_with_free_edges,
-                                star_support, weighted_edge_list)
+from plane_supports.mst import EmptyCoreError, emst, mst_with_free_edges, star_support
 
 
 def hg(points, hyperedges):
@@ -85,15 +84,6 @@ def test_free_edges_degenerate_cases():
     assert len(g) == 2
     with pytest.raises(ValueError):
         mst_with_free_edges([0, 1], [(0, 2)], h)
-
-
-def test_weighted_edge_list_weights():
-    h = hg([(0, 0), (10, 0), (5, 1)], [{0, 1, 2}])
-    entries = weighted_edge_list([0, 1, 2], [(1, 0)], h)
-    assert [(u, v) for u, v, _ in entries] == [(0, 1), (0, 2), (1, 2)]
-    weights = {(u, v): w for u, v, w in entries}
-    assert weights[(0, 1)] == 0.0
-    assert weights[(0, 2)] == pytest.approx(math.sqrt(26))
 
 
 def test_zero_weight_mst_contained_in_free_union_emst():

@@ -13,12 +13,12 @@ import sys
 import time
 from pathlib import Path
 
-from .exact import InfeasibleError, LimitsExceededError, SolveLimits, build_model, emit_lp, solve_exact
+from .exact import InfeasibleError, LimitsExceededError, SolveLimits, build_model, emit_lp
 from .fileio import ParseError, parse_hypergraph, parse_support, render_svg, serialize_hypergraph, serialize_support
 from .gen import DegreeScheme, adversarial_family, generate
-from .harness import TrialConfig, combination_supported, records_to_csv, run_grid
-from .heuristics import local_search, local_search_seeded, mst_approximation, mst_iteration
-from .model import ConstraintSet, crossing_count, hyperedge_induced_connected, is_acyclic, total_length
+from .harness import ALGORITHMS, TrialConfig, combination_supported, records_to_csv, run_grid, solve
+from .model import (ALL_CONSTRAINTS, ConstraintSet, crossing_count, hyperedge_induced_connected,
+                    is_acyclic, total_length)
 from .mst import EmptyCoreError
 
 EXIT_OK = 0
@@ -70,23 +70,11 @@ def _cmd_solve(args) -> int:
     constraints = ConstraintSet.from_label(args.constraints)
     if not combination_supported(args.algo, constraints):
         raise _UsageError(f"{args.algo} only supports --constraints u")
-    proven = None
+    start = parse_support(_read(args.seed_support), h) if args.seed_support else None
     t0 = time.perf_counter()
     try:
-        if args.algo == "mst-approx":
-            report = mst_approximation(h)
-        elif args.algo == "mst-iter":
-            report = mst_iteration(h)
-        elif args.algo == "local-search":
-            if args.seed_support:
-                g0 = parse_support(_read(args.seed_support), h)
-                report = local_search_seeded(h, g0, constraints)
-            else:
-                report = local_search(h, constraints)
-        else:
-            result = solve_exact(h, constraints, SolveLimits(args.node_cap, args.time_cap))
-            proven = result.proven_optimal
-            support, length, rounds = result.support, result.length, result.nodes_explored
+        support, length, rounds, proven = solve(
+            h, args.algo, constraints, SolveLimits(args.node_cap, args.time_cap), start)
     except EmptyCoreError:
         print("infeasible: no vertex occurs in every hyperedge "
               "(local search needs a nonempty core)", file=sys.stderr)
@@ -98,8 +86,6 @@ def _cmd_solve(args) -> int:
         print(f"limits exceeded: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    if args.algo != "exact":
-        support, length, rounds = report.support, report.length, report.rounds_or_passes
     _write(args.out, serialize_support(support))
     if args.report:
         print(f"algorithm {args.algo}")
@@ -198,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="plane-supports",
                      description="Short supports of spatial hypergraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    labels = [c.label for c in ALL_CONSTRAINTS]
 
     p = sub.add_parser("generate", help="generate a random instance")
     p.add_argument("--n", type=int, required=True)
@@ -214,9 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a support")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--algo", choices=["mst-approx", "mst-iter", "local-search", "exact"],
-                   required=True)
-    p.add_argument("--constraints", choices=["u", "t", "p", "pt"], default="u")
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    p.add_argument("--constraints", choices=labels, default="u")
     p.add_argument("--seed-support", dest="seed_support")
     p.add_argument("--node-cap", type=int)
     p.add_argument("--time-cap", type=float)
@@ -227,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a support file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--support", required=True)
-    p.add_argument("--constraints", choices=["u", "t", "p", "pt"])
+    p.add_argument("--constraints", choices=labels)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("render", help="render instance (and support) to SVG")
@@ -238,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-lp", help="write the integer model as an LP file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--constraints", choices=["u", "t", "p", "pt"], required=True)
+    p.add_argument("--constraints", choices=labels, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_emit_lp)
 

@@ -13,11 +13,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from .geom import segments_conflict
+from .geom import SegmentConflicts
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
                     UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
                     total_length)
-from .heuristics import local_search, mst_iteration, _UndoDsu
+from .heuristics import local_search, mst_iteration
 from .mst import EmptyCoreError
 
 _TOL = 1e-9
@@ -259,31 +259,21 @@ def _greedy_support(h: Hypergraph, c: ConstraintSet):
     per_hyp = [DisjointSet(h.n) for _ in range(h.k)]
     global_dsu = DisjointSet(h.n) if c.require_acyclic else None
     chosen: list[Edge] = []
-    segs: list = []
+    # Candidates that conflict with a chosen edge, under the plane regimes.
+    blocked: set[Edge] = set()
+    bulk = SegmentConflicts(h.vertices, cands) if c.require_plane else None
     for e in cands:
-        useful = False
-        for s in range(h.k):
-            mem = h.hyperedges[s]
-            if e[0] in mem and e[1] in mem and not per_hyp[s].connected(*e):
-                useful = True
-                break
-        if not useful:
+        u, v = e
+        holding = [s for s, mem in enumerate(h.hyperedges) if u in mem and v in mem]
+        if e in blocked or all(per_hyp[s].connected(u, v) for s in holding):
             continue
-        if c.require_plane:
-            seg = h.segment(*e)
-            if any(segments_conflict(seg, s2) for s2 in segs):
-                continue
-        if global_dsu is not None and global_dsu.connected(*e):
+        if global_dsu is not None and global_dsu.union(u, v) is None:
             continue
         chosen.append(e)
-        if c.require_plane:
-            segs.append(h.segment(*e))
-        if global_dsu is not None:
-            global_dsu.union(*e)
-        for s in range(h.k):
-            mem = h.hyperedges[s]
-            if e[0] in mem and e[1] in mem:
-                per_hyp[s].union(*e)
+        if bulk is not None:
+            blocked |= bulk.conflicting(u, v)
+        for s in holding:
+            per_hyp[s].union(u, v)
     g = SupportGraph(frozenset(chosen))
     if satisfies(g, h, c):
         return g
@@ -416,7 +406,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     best_len, best_edges = seed if seed is not None else (None, None)
 
     included: list[int] = []
-    gdsu = _UndoDsu(h.n) if c.require_acyclic else None
+    gdsu = DisjointSet(h.n) if c.require_acyclic else None
     nodes = 0
     committed = 0.0
     t_start = time.perf_counter()
@@ -462,14 +452,13 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             return
 
         u, v = order[d]
-        feasible = True
-        if c.require_plane and any(status[j] == 1 for j in conflicts[d]):
-            feasible = False
-        if feasible and gdsu is not None and gdsu.connected(u, v):
-            feasible = False
+        feasible = not (c.require_plane and any(status[j] == 1 for j in conflicts[d]))
+        token = None
+        if feasible and gdsu is not None:
+            token = gdsu.union(u, v)
+            feasible = token is not None  # None: (u, v) would close a cycle
         if feasible:
             set_status(d, 1)
-            token = gdsu.union(u, v) if gdsu is not None else None
             changed = {s for s, _, _ in edge_locals[d]}
             forced: list[int] = []
             if c.require_plane:
@@ -543,7 +532,7 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
 
     in_flag = bytearray(m)
     chosen: list[int] = []
-    gdsu = _UndoDsu(h.n) if c.require_acyclic else None
+    gdsu = DisjointSet(h.n) if c.require_acyclic else None
     nodes = 0
 
     def chosen_is_support() -> bool:
@@ -551,22 +540,12 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
             cnt = len(members_sorted[s])
             if cnt <= 1:
                 continue
-            parent = list(range(cnt))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            dsu = DisjointSet(cnt)
             comps = cnt
             for eidx in chosen:
                 for s2, li, lj in edge_locals[eidx]:
-                    if s2 == s:
-                        ra, rb = find(li), find(lj)
-                        if ra != rb:
-                            parent[rb] = ra
-                            comps -= 1
+                    if s2 == s and dsu.union(li, lj) is not None:
+                        comps -= 1
             if comps > 1:
                 return False
         return True
@@ -587,10 +566,8 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
             feasible = False
         token = None
         if feasible and gdsu is not None:
-            if gdsu.connected(*edges[i]):
-                feasible = False
-            else:
-                token = gdsu.union(*edges[i])
+            token = gdsu.union(*edges[i])
+            feasible = token is not None
         if feasible and (best_len is None or partial + elen[i] <= best_len + _TOL):
             in_flag[i] = 1
             chosen.append(i)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from .exact import InfeasibleError, LimitsExceededError, SolveLimits, solve_exact
 from .gen import DegreeScheme, generate
-from .heuristics import local_search, mst_approximation, mst_iteration
-from .model import ConstraintSet, UNRESTRICTED, satisfies
+from .heuristics import local_search, local_search_seeded, mst_approximation, mst_iteration
+from .model import ConstraintSet, Hypergraph, SupportGraph, UNRESTRICTED, satisfies
 from .mst import EmptyCoreError
 
 ALGORITHMS = ("mst-approx", "mst-iter", "local-search", "exact")
@@ -31,9 +31,43 @@ CSV_COLUMNS = ("trial_id", "seed", "n", "k", "scheme", "algorithm", "constraints
 def combination_supported(algorithm: str, constraints: ConstraintSet) -> bool:
     if algorithm not in ALGORITHMS:
         return False
-    if algorithm in _UNRESTRICTED_ONLY and constraints != UNRESTRICTED:
+    # By label: constraints may come from another import of the package,
+    # whose ConstraintSet compares unequal to this one's constants.
+    if algorithm in _UNRESTRICTED_ONLY and constraints.label != UNRESTRICTED.label:
         return False
     return True
+
+
+def solve(h: Hypergraph, algorithm: str, constraints: ConstraintSet,
+          limits: SolveLimits | None = None, start: SupportGraph | None = None):
+    """Run the solver named `algorithm` on h under `constraints`.
+
+    Returns (support, length, rounds, proven_optimal): rounds counts the
+    heuristics' passes or rounds and solve_exact's nodes; proven_optimal is
+    None for the heuristics. `limits` caps solve_exact; `start` seeds one
+    local-search climb (local_search_seeded) instead of the star seed.
+    Raises ValueError for a name or constraint set the solver does not
+    take; each solver's own exceptions pass through. Solvers are module
+    globals looked up at call time, not a table of functions, so a wrapper
+    rebound onto this module (the benchmark's tracer) is the one called.
+    """
+    if not combination_supported(algorithm, constraints):
+        raise ValueError(f"unsupported combination: {algorithm} under "
+                         f"'{constraints.label}'")
+    if start is not None and algorithm != "local-search":
+        raise ValueError("a start support only applies to local-search")
+    if algorithm == "exact":
+        result = solve_exact(h, constraints, limits)
+        return result.support, result.length, result.nodes_explored, result.proven_optimal
+    if algorithm == "mst-approx":
+        report = mst_approximation(h)
+    elif algorithm == "mst-iter":
+        report = mst_iteration(h)
+    elif start is None:
+        report = local_search(h, constraints)
+    else:
+        report = local_search_seeded(h, start, constraints)
+    return report.support, report.length, report.rounds_or_passes, None
 
 
 @dataclass(frozen=True)
@@ -81,22 +115,8 @@ def run_trial(cfg: TrialConfig, trial_id: int = 0) -> TrialRecord:
 
     t0 = time.perf_counter()
     try:
-        if cfg.algorithm == "mst-approx":
-            report = mst_approximation(h)
-            support, length, rounds = report.support, report.length, report.rounds_or_passes
-        elif cfg.algorithm == "mst-iter":
-            report = mst_iteration(h)
-            support, length, rounds = report.support, report.length, report.rounds_or_passes
-        elif cfg.algorithm == "local-search":
-            report = local_search(h, cfg.constraints)
-            support, length, rounds = report.support, report.length, report.rounds_or_passes
-        elif cfg.algorithm == "exact":
-            result = solve_exact(h, cfg.constraints,
-                                 SolveLimits(cfg.node_cap, cfg.time_cap))
-            support, length, rounds = result.support, result.length, result.nodes_explored
-            proven = result.proven_optimal
-        else:
-            raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+        support, length, rounds, proven = solve(
+            h, cfg.algorithm, cfg.constraints, SolveLimits(cfg.node_cap, cfg.time_cap))
     except (EmptyCoreError, InfeasibleError):
         status = "infeasible"
     except LimitsExceededError:

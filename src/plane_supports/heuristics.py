@@ -7,18 +7,18 @@
   that ends longer than a stricter regime's result, from that result, so
   that lengths nest across regimes; per round, every support edge is
   tentatively removed and the cheapest reconnection is searched for; the
-  single best swap of the round is committed.
+  single best swap of the round is committed. local_search_all returns
+  every regime's result of the same sweep.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 
 from .geom import SegmentConflicts, segments_conflict
-from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
-                    Hypergraph, SupportGraph, satisfies, total_length)
+from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, DisjointSet,
+                    Edge, Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import emst, mst_with_free_edges, star_support
 
 # Gains below this never commit, which keeps termination independent of
@@ -51,7 +51,6 @@ class SolveReport:
     support: SupportGraph
     length: float
     rounds_or_passes: int
-    wall_time: float
 
 
 def _union_support(trees: dict[int, frozenset[Edge]]) -> SupportGraph:
@@ -85,10 +84,9 @@ def _execute_sequence(h: Hypergraph, steps, trees=None) -> dict[int, frozenset[E
 
 def mst_approximation(h: Hypergraph) -> SolveReport:
     """Union of per-hyperedge EMSTs; a k-approximation of the optimum."""
-    t0 = time.perf_counter()
     trees = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in range(h.k)}
     support = _union_support(trees)
-    return SolveReport(support, total_length(support, h), 1, time.perf_counter() - t0)
+    return SolveReport(support, total_length(support, h), 1)
 
 
 def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveReport:
@@ -102,7 +100,6 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     capped at max_passes. Either way the result is never longer than
     mst_approximation's.
     """
-    t0 = time.perf_counter()
     k = h.k
     if sequence is not None:
         steps = list(sequence.steps) if isinstance(sequence, ComputationSequence) \
@@ -115,12 +112,11 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
         if set(steps) != set(range(k)):
             raise ValueError("computation sequence must contain every hyperedge at least once")
         support = _union_support(_execute_sequence(h, steps))
-        return SolveReport(support, total_length(support, h), len(steps),
-                           time.perf_counter() - t0)
+        return SolveReport(support, total_length(support, h), len(steps))
 
     if k == 1:
         support = _union_support(_execute_sequence(h, [0]))
-        return SolveReport(support, total_length(support, h), 1, time.perf_counter() - t0)
+        return SolveReport(support, total_length(support, h), 1)
 
     if k == 2:
         g_a = _union_support(_execute_sequence(h, [0, 1, 0]))
@@ -128,7 +124,7 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
         len_a = total_length(g_a, h)
         len_b = total_length(g_b, h)
         support, length = (g_b, len_b) if len_b < len_a - _TIE_EPS else (g_a, len_a)
-        return SolveReport(support, length, 3, time.perf_counter() - t0)
+        return SolveReport(support, length, 3)
 
     # k > 2: start from the approximation state so every later step is a
     # pure recomputation, then iterate passes to stability.
@@ -141,42 +137,7 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
         if frozenset(_union_support(trees).edges) == before:
             break
     support = _union_support(trees)
-    return SolveReport(support, total_length(support, h), passes, time.perf_counter() - t0)
-
-
-class _UndoDsu:
-    """Union-find without path compression so unions can be rolled back."""
-
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        bumped = self.rank[ra] == self.rank[rb]
-        self.parent[rb] = ra
-        if bumped:
-            self.rank[ra] += 1
-        return (rb, ra, bumped)
-
-    def undo(self, token) -> None:
-        rb, ra, bumped = token
-        self.parent[rb] = rb
-        if bumped:
-            self.rank[ra] -= 1
+    return SolveReport(support, total_length(support, h), passes)
 
 
 class _Tables:
@@ -498,7 +459,7 @@ class _Searcher:
 
         dsu = None
         if self.c.require_acyclic:
-            dsu = _UndoDsu(self.h.n)
+            dsu = DisjointSet(self.h.n)
             for a, b in self.edges:
                 if (a, b) != e:
                     dsu.union(a, b)
@@ -533,9 +494,9 @@ class _Searcher:
                     continue
                 token = None
                 if dsu is not None:
-                    if dsu.connected(ed[0], ed[1]):
-                        continue
-                    token = dsu.union(ed[0], ed[1])
+                    token = dsu.union(*ed)
+                    if token is None:
+                        continue  # ed would close a cycle
                 chosen.append(ed)
                 dfs(uncovered & ~crossing[ed], t2)
                 chosen.pop()
@@ -614,12 +575,12 @@ def local_search_round(h: Hypergraph, g: SupportGraph, c: ConstraintSet = UNREST
 def _climb(tables: _Tables, c: ConstraintSet, start: SupportGraph,
            max_replacement: int | None, rounds: int = 0) -> SolveReport:
     """Climb from `start` until no swap improves; `rounds` counts on from
-    the rounds that produced `start`. wall_time is left to the caller."""
+    the rounds that produced `start`."""
     searcher = _Searcher(tables, c, start.edges, max_replacement)
     while searcher.run_round():
         rounds += 1
     support = searcher.current_support()
-    return SolveReport(support, total_length(support, tables.h), rounds, 0.0)
+    return SolveReport(support, total_length(support, tables.h), rounds)
 
 
 def _stricter(c: ConstraintSet) -> tuple[ConstraintSet, ...]:
@@ -631,20 +592,20 @@ def _stricter(c: ConstraintSet) -> tuple[ConstraintSet, ...]:
     return (PLANE, TREE)
 
 
-def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
-                 max_replacement: int | None = 3) -> SolveReport:
-    """Hill climbing from the star seed, nested across regimes.
+def local_search_all(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
+                     max_replacement: int | None = 3) -> dict[str, SolveReport | None]:
+    """Hill climbing from the star seed, nested across regimes: the results
+    for c and for every regime stricter than c, by label.
 
-    The result for regime c is its climb from the star seed, unless that
+    The result for a regime is its climb from the star seed, unless that
     is longer (by more than _TIE_EPS) than S, the shorter of the results for
-    the regimes directly stricter than c (pt for p and t; p and t for u),
-    each computed by this same rule. Then c is climbed again from S and that
-    result is returned. A climb never ends longer than its seed, so the
-    lengths nest, u <= p <= pt and u <= t <= pt, and no result is longer
-    than the plain star-seeded climb. A stricter regime whose star seed
-    violates its constraints contributes nothing. Each regime's result is
-    computed once per call, so a u call climbs all four regimes, and t or p
-    climbs pt too.
+    the regimes directly stricter than it (pt for p and t; p and t for u),
+    each computed by this same rule. Then the regime is climbed again from S.
+    A climb never ends longer than its seed, so the lengths nest,
+    u <= p <= pt and u <= t <= pt, and no result is longer than the plain
+    star-seeded climb. A stricter regime whose star seed violates its
+    constraints maps to None and contributes nothing. Each regime is
+    climbed once per call, so the default u call returns all four regimes.
 
     rounds_or_passes counts the rounds committed along the chain that
     produced the support: a result climbed from S adds its own rounds to
@@ -652,7 +613,6 @@ def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     that satisfies c (ValueError otherwise). Each committed round strictly
     shrinks the total length, so every climb terminates.
     """
-    t0 = time.perf_counter()
     seed = star_support(h)
     # A seed that satisfies pt satisfies every regime.
     plane_tree_seed = satisfies(seed, h, PLANE_TREE)
@@ -681,10 +641,14 @@ def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             if own.length > best.length + _TIE_EPS:
                 own = _climb(tables, r, best.support, max_replacement, best.rounds_or_passes)
         results[r.label] = own
+    return results
 
-    rep = results[c.label]
-    return SolveReport(rep.support, rep.length, rep.rounds_or_passes,
-                       time.perf_counter() - t0)
+
+def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
+                 max_replacement: int | None = 3) -> SolveReport:
+    """local_search_all's result for c alone; a call for t or p climbs pt
+    too, and a u call all four regimes."""
+    return local_search_all(h, c, max_replacement)[c.label]
 
 
 def local_search_seeded(h: Hypergraph, g0: SupportGraph,
@@ -692,9 +656,6 @@ def local_search_seeded(h: Hypergraph, g0: SupportGraph,
                         max_replacement: int | None = 3) -> SolveReport:
     """One climb from a caller-supplied seed, without local_search's
     cascade: its result is not promised to nest across regimes."""
-    t0 = time.perf_counter()
     if not satisfies(g0, h, c):
         raise ValueError("seed support violates the requested constraints")
-    rep = _climb(_Tables(h, g0), c, g0, max_replacement)
-    return SolveReport(rep.support, rep.length, rep.rounds_or_passes,
-                       time.perf_counter() - t0)
+    return _climb(_Tables(h, g0), c, g0, max_replacement)

@@ -24,28 +24,42 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 class DisjointSet:
-    """Array-based union-find with union by size and path halving."""
+    """Array-based union-find with union by rank and no path compression,
+    so that unions can be rolled back."""
+
+    __slots__ = ("parent", "rank")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.size = [1] * n
+        self.rank = [0] * n
 
     def find(self, x: int) -> int:
         p = self.parent
         while p[x] != x:
-            p[x] = p[p[x]]
             x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int):
+        """Join the sets of a and b. Returns a token for undo, or None when
+        they were already joined."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
+            return None
+        if self.rank[ra] < self.rank[rb]:
             ra, rb = rb, ra
+        bumped = self.rank[ra] == self.rank[rb]
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+        if bumped:
+            self.rank[ra] += 1
+        return (rb, ra, bumped)
+
+    def undo(self, token) -> None:
+        """Reverse the union that returned `token`; unions made after it
+        must be undone first."""
+        rb, ra, bumped = token
+        self.parent[rb] = rb
+        if bumped:
+            self.rank[ra] -= 1
 
     def connected(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)

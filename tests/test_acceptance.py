@@ -14,7 +14,8 @@ from plane_supports.exact import brute_force_oracle, solve_exact
 from plane_supports.fileio import parse_hypergraph, serialize_hypergraph
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.harness import CSV_COLUMNS, TrialConfig, records_to_csv, run_grid
-from plane_supports.heuristics import local_search, mst_approximation, mst_iteration
+from plane_supports.heuristics import (local_search, local_search_all, mst_approximation,
+                                       mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, UNRESTRICTED, satisfies,
                                   total_length)
 from plane_supports.mst import emst, mst_with_free_edges, star_support
@@ -38,7 +39,8 @@ def _report(num, ok, detail):
 @pytest.fixture(scope="session")
 def pool_big():
     """500 instances spanning n in {20, 60}, k in {2, 4}, all four schemes,
-    with the three unrestricted heuristics run on each."""
+    with the two MST heuristics and one local-search sweep (all four
+    regimes) run on each."""
     entries = []
     for i in range(500):
         n = (20, 60)[i % 2]
@@ -47,10 +49,12 @@ def pool_big():
         h = generate(n, k, scheme, random.Random(3000 + i))
         approx = mst_approximation(h)
         iterated = mst_iteration(h)
-        ls_u = local_search(h, UNRESTRICTED)
-        for rep in (approx, iterated, ls_u):
+        ls = local_search_all(h)
+        for rep in (approx, iterated):
             _note_output(h, rep.support, UNRESTRICTED)
-        entries.append({"h": h, "approx": approx, "iter": iterated, "ls_u": ls_u})
+        for c in ALL_CONSTRAINTS:
+            _note_output(h, ls[c.label].support, c)
+        entries.append({"h": h, "approx": approx, "iter": iterated, "ls_u": ls["u"], "ls": ls})
     return entries
 
 
@@ -84,10 +88,9 @@ def pool_mid():
     for i in range(200):
         scheme = (DegreeScheme.LOW, DegreeScheme.MID)[i % 2]
         h = generate(10, 2, scheme, random.Random(6000 + i))
-        ls = {}
+        ls = local_search_all(h)
         exact = {}
         for c in ALL_CONSTRAINTS:
-            ls[c.label] = local_search(h, c)
             exact[c.label] = solve_exact(h, c)
             _note_output(h, ls[c.label].support, c)
             _note_output(h, exact[c.label].support, c)
@@ -236,12 +239,7 @@ def test_criterion_9_constraint_nesting(pool_small, pool_mid, pool_big):
         check("exact", e["h"], {lab: res.length for lab, res in e["exact"].items()})
         check("local-search", e["h"], {lab: rep.length for lab, rep in e["ls"].items()})
     for e in pool_big:
-        lens = {"u": e["ls_u"].length}
-        for c in ALL_CONSTRAINTS[1:]:
-            rep = local_search(e["h"], c)
-            _note_output(e["h"], rep.support, c)
-            lens[c.label] = rep.length
-        check("local-search", e["h"], lens)
+        check("local-search", e["h"], {lab: rep.length for lab, rep in e["ls"].items()})
 
     for line in examples:
         print(f"\n[criterion  9] inversion: {line}")

@@ -151,6 +151,19 @@ def test_usage_and_parse_errors_exit_one(tmp_path):
     assert not out.exists()
 
 
+def test_invalid_choice_lists_the_package_names(capsys):
+    # The choices come from harness.ALGORITHMS and model.ALL_CONSTRAINTS, in
+    # their order.
+    assert run("solve", "--in", "x.hg", "--algo", "bogus", "--out", "x.sup") == 1
+    assert capsys.readouterr().err == (
+        "error: argument --algo: invalid choice: 'bogus' "
+        "(choose from 'mst-approx', 'mst-iter', 'local-search', 'exact')\n")
+    assert run("emit-lp", "--in", "x.hg", "--constraints", "tp", "--out", "x.lp") == 1
+    assert capsys.readouterr().err == (
+        "error: argument --constraints: invalid choice: 'tp' "
+        "(choose from 'u', 't', 'p', 'pt')\n")
+
+
 def test_flag_combination_errors_name_the_algorithm(tmp_path, capsys):
     hg_path = tmp_path / "x.hg"
     hg_path.write_text(X_CONFIG_HG)

@@ -4,12 +4,14 @@ import random
 import pytest
 
 from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededError,
-                                  SolveLimits, brute_force_oracle, build_model, emit_lp,
-                                  solve_exact)
+                                  SolveLimits, _greedy_support, brute_force_oracle,
+                                  build_model, emit_lp, solve_exact)
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.heuristics import mst_approximation
-from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
-                                  PLANE_TREE, TREE, UNRESTRICTED, satisfies, total_length)
+from plane_supports.geom import segments_conflict
+from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, Hypergraph,
+                                  PLANE, PLANE_TREE, TREE, UNRESTRICTED, SupportGraph,
+                                  candidate_edges, satisfies, total_length)
 from plane_supports.mst import emst
 
 
@@ -346,3 +348,94 @@ def test_lp_round_trip_through_external_milp(label):
     assert total_length(g, h) == pytest.approx(res.fun, abs=1e-6)
     # the external optimum agrees with the internal solver
     assert res.fun == pytest.approx(solve_exact(h, c).length, abs=1e-6)
+
+
+def _greedy_reference(h, c):
+    """_greedy_support with its plane test written as a pairwise scan of
+    segments_conflict against every chosen segment."""
+    cands = sorted(candidate_edges(h), key=lambda e: (h.edge_length(*e), e))
+    per_hyp = [DisjointSet(h.n) for _ in range(h.k)]
+    global_dsu = DisjointSet(h.n) if c.require_acyclic else None
+    chosen, segs = [], []
+    for e in cands:
+        useful = any(e[0] in mem and e[1] in mem and not per_hyp[s].connected(*e)
+                     for s, mem in enumerate(h.hyperedges))
+        if not useful:
+            continue
+        if c.require_plane:
+            seg = h.segment(*e)
+            if any(segments_conflict(seg, s2) for s2 in segs):
+                continue
+        if global_dsu is not None and global_dsu.connected(*e):
+            continue
+        chosen.append(e)
+        segs.append(h.segment(*e))
+        if global_dsu is not None:
+            global_dsu.union(*e)
+        for s, mem in enumerate(h.hyperedges):
+            if e[0] in mem and e[1] in mem:
+                per_hyp[s].union(*e)
+    g = SupportGraph(frozenset(chosen))
+    return g if satisfies(g, h, c) else None
+
+
+# Empty-core instances on which mst_iteration's support is not plane, so
+# solve_exact seeds its search with _greedy_support: (points, hyperedges,
+# the optimum's edges, nodes under p, nodes under pt). The greedy support is
+# the optimum on each. The pinned node counts are those of the pairwise scan.
+EMPTY_CORE_PLANE = [
+    ([(0, -1), (0, 1), (-1.5, 0), (1.5, 0), (0, 5)], [{0, 1}, {2, 3, 4}],
+     [(0, 1), (2, 4), (3, 4)], 7, 7),
+    ([(4, 2), (2, 4), (2, 1), (1, 4), (3, 2), (2, 2), (2, 0)],
+     [{2, 3, 5}, {0, 1, 4}, {4, 5, 6}],
+     [(0, 4), (1, 4), (2, 5), (3, 5), (4, 5), (4, 6)], 67, 67),
+    ([(0, 1), (2, 1), (0, 2), (3, 4), (1, 2), (1, 1)], [{1, 2, 3, 5}, {0, 4}],
+     [(0, 4), (1, 3), (1, 5), (2, 3)], 11, 11),
+    ([(2, 2), (1, 1), (1, 3), (0, 0), (1, 4), (0, 1), (4, 2), (0, 2)],
+     [{3, 4, 5, 6}, {0, 1, 2, 7}],
+     [(0, 1), (0, 2), (1, 7), (3, 5), (3, 6), (4, 6)], 115, 104),
+]
+
+
+@pytest.mark.parametrize("points,hyperedges,edges,nodes_p,nodes_pt", EMPTY_CORE_PLANE)
+def test_greedy_seed_under_plane_regimes(points, hyperedges, edges, nodes_p, nodes_pt):
+    h = hg(points, hyperedges)
+    assert not h.core()
+    for c, nodes in ((PLANE, nodes_p), (PLANE_TREE, nodes_pt)):
+        greedy = _greedy_support(h, c)
+        assert greedy == _greedy_reference(h, c)
+        assert greedy.sorted_edges() == edges
+        res = solve_exact(h, c)
+        assert res.support.sorted_edges() == edges
+        assert res.nodes_explored == nodes
+        assert res.proven_optimal
+
+
+def test_greedy_seed_matches_pairwise_scan():
+    # Crossing hyperedges whose only supports cross: the greedy pass fails
+    # under p and pt, and so does the search.
+    h = hg([(0, -1), (0, 1), (-1, 0), (1, 0)], [{0, 1}, {2, 3}])
+    for c in (PLANE, PLANE_TREE):
+        assert _greedy_support(h, c) is None
+        with pytest.raises(InfeasibleError):
+            solve_exact(h, c)
+    # Random instances, half on an integer grid (collinear overlaps and
+    # endpoints inside other segments), most with an empty core.
+    rng = random.Random(5)
+    found = 0
+    for trial in range(300):
+        n = rng.randint(5, 10)
+        if trial % 2:
+            points = rng.sample([(x, y) for x in range(5) for y in range(5)], n)
+        else:
+            points = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
+        k = rng.choice((2, 3, 4))
+        hyps = [set(rng.sample(range(n), rng.randint(2, min(5, n)))) for _ in range(k)]
+        for v in set(range(n)) - set().union(*hyps):
+            hyps[rng.randrange(k)].add(v)
+        h = hg(points, hyps)
+        for c in ALL_CONSTRAINTS:
+            greedy = _greedy_support(h, c)
+            assert greedy == _greedy_reference(h, c), (trial, c.label)
+            found += greedy is not None and c.require_plane
+    assert found > 100

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from plane_supports.exact import brute_force_oracle
+from plane_supports.exact import SolveLimits, brute_force_oracle, solve_exact
 from plane_supports.gen import DegreeScheme, generate
-from plane_supports.harness import (CSV_COLUMNS, TrialConfig, combination_supported,
-                                    records_to_csv, run_grid, run_trial, summarize)
-from plane_supports.model import ConstraintSet, PLANE_TREE, UNRESTRICTED
+from plane_supports.harness import (ALGORITHMS, CSV_COLUMNS, TrialConfig,
+                                    combination_supported, records_to_csv, run_grid,
+                                    run_trial, solve, summarize)
+from plane_supports.heuristics import (local_search, local_search_seeded, mst_approximation,
+                                       mst_iteration)
+from plane_supports.model import ALL_CONSTRAINTS, ConstraintSet, PLANE_TREE, UNRESTRICTED
+from plane_supports.mst import star_support
 
 
 def test_unsupported_combinations_rejected():
@@ -16,6 +20,37 @@ def test_unsupported_combinations_rejected():
     assert not combination_supported("mst-iter", PLANE_TREE)
     with pytest.raises(ValueError):
         TrialConfig(10, 2, DegreeScheme.MID, "mst-approx", PLANE_TREE, seed=0)
+
+
+def test_solve_dispatches_by_name():
+    h = generate(8, 2, DegreeScheme.MID, random.Random(4))
+    direct = {"mst-approx": lambda c: mst_approximation(h),
+              "mst-iter": lambda c: mst_iteration(h),
+              "local-search": lambda c: local_search(h, c)}
+    for algo in ALGORITHMS:
+        for c in ALL_CONSTRAINTS:
+            if not combination_supported(algo, c):
+                with pytest.raises(ValueError):
+                    solve(h, algo, c)
+                continue
+            got = solve(h, algo, c)
+            if algo == "exact":
+                res = solve_exact(h, c)
+                assert got == (res.support, res.length, res.nodes_explored, True)
+            else:
+                rep = direct[algo](c)
+                assert got == (rep.support, rep.length, rep.rounds_or_passes, None)
+    start = mst_iteration(h).support
+    rep = local_search_seeded(h, start, UNRESTRICTED)
+    seeded = solve(h, "local-search", UNRESTRICTED, start=start)
+    assert seeded == (rep.support, rep.length, rep.rounds_or_passes, None)
+    assert seeded != solve(h, "local-search", UNRESTRICTED)
+    capped = solve(h, "exact", UNRESTRICTED, SolveLimits(node_cap=3))
+    assert capped[2:] == (4, False)
+    with pytest.raises(ValueError):
+        solve(h, "mst-iter", UNRESTRICTED, start=star_support(h))
+    with pytest.raises(ValueError):
+        solve(h, "nonsense", UNRESTRICTED)
 
 
 def test_run_trial_iteration_dominates_approximation():

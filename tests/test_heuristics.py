@@ -7,7 +7,8 @@ import pytest
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
                                        _execute_sequence, _union_support, local_search,
-                                       local_search_round, local_search_seeded,
+                                       local_search_all, local_search_round,
+                                       local_search_seeded,
                                        mst_approximation, mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
                                   Hypergraph, UNRESTRICTED, satisfies, total_length)
@@ -289,6 +290,52 @@ def test_stricter_regime_with_infeasible_star_contributes_nothing():
         assert rep.length == pytest.approx(4.0)
         assert rep.rounds_or_passes == 0
         assert satisfies(rep.support, h, c)
+
+
+def test_sweep_equals_single_regime_calls():
+    # local_search_all(h, c) holds c and every stricter regime, each equal,
+    # support and rounds, to its own local_search call; a stricter regime is
+    # None exactly when its own call refuses the star seed.
+    rng = random.Random(23)
+    cases = [generate(n, k, scheme, random.Random(800 + i))
+             for i, (n, k, scheme) in enumerate(
+                 (n, k, scheme) for n in (10, 16, 22) for k in (2, 3, 4)
+                 for scheme in DegreeScheme)]
+    cases += [_grid_instance(rng) for _ in range(6)]
+    cases.append(hg([(0, 0), (1, 0), (2, 0), (0, 1)], [{0, 1, 3}, {0, 2}]))
+    singles_seen = refused = 0
+    for h in cases:
+        singles = {}
+        for c in ALL_CONSTRAINTS:
+            try:
+                singles[c.label] = local_search(h, c)
+            except ValueError:
+                singles[c.label] = None
+        for c in ALL_CONSTRAINTS:
+            if singles[c.label] is None:
+                with pytest.raises(ValueError):
+                    local_search_all(h, c)
+                continue
+            sweep = local_search_all(h, c)
+            expected = {r.label for r in ALL_CONSTRAINTS
+                        if r.require_plane >= c.require_plane
+                        and r.require_acyclic >= c.require_acyclic}
+            assert set(sweep) == expected
+            for label, rep in sweep.items():
+                assert rep == singles[label], (h.n, h.k, c.label, label)
+                singles_seen += rep is not None
+                refused += rep is None
+    assert singles_seen > 200 and refused > 0
+
+
+def test_sweep_leaves_out_regimes_the_star_violates():
+    h = hg([(0, 0), (1, 0), (2, 0), (0, 1)], [{0, 1, 3}, {0, 2}])
+    sweep = local_search_all(h)
+    assert sweep["p"] is None and sweep["pt"] is None
+    assert sweep["u"] == local_search(h) and sweep["t"] == local_search(h, TREE)
+    assert local_search_all(h, TREE)["pt"] is None
+    with pytest.raises(ValueError):
+        local_search_all(h, PLANE)
 
 
 def test_local_search_nests_where_single_climbs_invert():

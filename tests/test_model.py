@@ -156,3 +156,32 @@ def test_candidate_edges_universe():
     assert candidate_edges(h) == [(0, 1), (2, 3)]
     h2 = hg([(0, 0), (1, 0), (2, 0)], [{0, 1, 2}])
     assert candidate_edges(h2) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_disjoint_set_union_connected_and_undo_round_trip():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        dsu = model.DisjointSet(n)
+        comp = list(range(n))  # reference: component label per vertex
+        history = []
+        for _ in range(3 * n):
+            if history and rng.random() < 0.3:
+                token, before = history.pop()
+                dsu.undo(token)
+                comp = before
+            else:
+                a, b = rng.randrange(n), rng.randrange(n)
+                token = dsu.union(a, b)
+                assert (token is None) == (comp[a] == comp[b])
+                if token is not None:
+                    history.append((token, comp))
+                    comp = [comp[a] if x == comp[b] else x for x in comp]
+            for a in range(n):
+                for b in range(n):
+                    assert dsu.connected(a, b) == (comp[a] == comp[b])
+        while history:
+            token, comp = history.pop()
+            dsu.undo(token)
+        assert dsu.parent == list(range(n))
+        assert dsu.rank == [0] * n

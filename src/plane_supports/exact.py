@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .geom import SegmentConflicts
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
@@ -301,31 +302,133 @@ class _Capped(Exception):
     pass
 
 
+def _prim(w):
+    """Prim from local vertex 0 over the weight matrix w: (total, parent
+    array), or (inf, None) when w does not connect its vertices."""
+    cnt = len(w)
+    if cnt <= 1:
+        return 0.0, ()
+    inf = math.inf
+    dist = [inf] * cnt
+    dist[0] = 0.0
+    parent = [-1] * cnt
+    used = [False] * cnt
+    total = 0.0
+    for _ in range(cnt):
+        best = -1
+        bd = inf
+        for vtx in range(cnt):
+            if not used[vtx] and dist[vtx] < bd:
+                bd = dist[vtx]
+                best = vtx
+        if best < 0:
+            return inf, None
+        used[best] = True
+        total += bd
+        row = w[best]
+        for vtx in range(cnt):
+            if not used[vtx] and row[vtx] < dist[vtx]:
+                dist[vtx] = row[vtx]
+                parent[vtx] = best
+    return total, parent
+
+
+def _reattach(parent, x, top, new_parent) -> None:
+    """Drop the tree edge above `top` and hang top's subtree from
+    `new_parent` through x, a vertex of that subtree, by reversing the
+    parent pointers on the path x..top."""
+    prev = new_parent
+    while True:
+        nxt = parent[x]
+        parent[x] = prev
+        if x == top:
+            return
+        prev, x = x, nxt
+
+
+def _tree_swap_in(w, parent, a, b, old):
+    """Keep a minimum spanning tree of w (a Prim parent array, rooted at 0)
+    minimum after the weight of (a, b) fell from `old` to w[a][b]: a tree
+    edge stays, and a non-tree edge replaces the heaviest edge on the tree
+    path from a to b when that one is heavier. Returns the change in tree
+    weight and the tree, a new list only when it changed."""
+    new = w[a][b]
+    if parent[a] == b or parent[b] == a:
+        return new - old, parent
+    up_a, up_b = [a], [b]  # each end's path to the root
+    for up in up_a, up_b:
+        while up[-1]:
+            up.append(parent[up[-1]])
+    while len(up_a) > 1 and len(up_b) > 1 and up_a[-2] == up_b[-2]:
+        up_a.pop()
+        up_b.pop()
+    # Path edges (x, parent[x]) for x below the common ancestor.
+    heavy, top, end, other = max([(w[x][parent[x]], x, a, b) for x in up_a[:-1]]
+                                 + [(w[x][parent[x]], x, b, a) for x in up_b[:-1]])
+    if heavy <= new:
+        return 0.0, parent
+    parent = parent[:]
+    _reattach(parent, end, top, other)
+    return new - heavy, parent
+
+
+def _tree_cut_replace(w, parent, a, b, old, cells):
+    """Keep a minimum spanning tree of w (a Prim parent array, rooted at 0)
+    minimum after its edge (a, b), of weight `old`, was forbidden. `cells`
+    yields the allowed cells (i, j) of w in nondecreasing weight, and the
+    first one across the cut rejoins the two sides. Returns the change in
+    tree weight and the new tree, or (inf, parent) when none crosses."""
+    top = a if parent[a] == b else b
+    side = [0] * len(parent)  # 1 in top's subtree, 2 outside, 0 not known
+    side[top] = 1
+    side[0] = 2
+    for x, y in cells:
+        v = x
+        while not side[v]:
+            v = parent[v]
+        on_x = side[v]
+        v = y
+        while not side[v]:
+            v = parent[v]
+        if side[v] != on_x:
+            if on_x == 2:
+                x, y = y, x
+            parent = parent[:]
+            _reattach(parent, x, top, y)
+            return w[x][y] - old, parent
+    return math.inf, parent
+
+
 def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                 limits: SolveLimits | None = None) -> ExactResult:
     """Provably-optimal support via branch and bound over edge inclusion.
 
     Edges are branched in (length, u, v) order, include-first. The lower
-    bound at a node is the committed length plus the worst per-hyperedge MST
-    completion cost (committed-in edges free, committed-out forbidden).
-    Raises InfeasibleError when the completed search finds nothing feasible
-    and LimitsExceededError when caps bite before any incumbent exists;
-    otherwise a capped search returns its incumbent with
+    bound at a node is the committed length plus the larger of two MST
+    completion costs (committed-in edges free, committed-out forbidden): the
+    worst single hyperedge's, and the sum over the components of the
+    hyperedge intersection graph of the component's completion over its
+    candidate edges. A support connects every chain of overlapping
+    hyperedges, and components share no vertex or edge, so the sum is a
+    valid bound too. Raises InfeasibleError when the completed search finds
+    nothing feasible and LimitsExceededError when caps bite before any
+    incumbent exists; otherwise a capped search returns its incumbent with
     proven_optimal=False.
 
-    The bound is kept incrementally. Each hyperedge's weight matrix is
-    updated in place as edges are decided and undone, and each node hands
-    its per-hyperedge completions (value and Prim parent array) to its
-    children. A child runs Prim again only for the hyperedges its branch
-    can have changed: on the include branch, those containing the branched
-    edge and those whose tree used a conflicting edge forced out; on the
-    exclude branch, those whose tree used the excluded edge. A non-tree
-    edge at most set a distance that a strictly smaller one later
-    replaced, so forbidding it leaves every choice of Prim (strict
-    improvement, first minimum), the parent array and the summed value
-    unchanged, bit for bit. A clean value that already prunes ends the node
-    before any recomputation. Bounds, node counts and supports are therefore
-    those of recomputing every completion at every node.
+    The bound is kept incrementally. Every entry (one per hyperedge, one
+    per component of two or more hyperedges) has a weight matrix updated in
+    place as edges are decided and undone, and each node hands its entries'
+    minimum spanning trees (value and parent array) to its children, which
+    update them by swaps that keep them minimum: an included edge replaces
+    the heaviest edge on its tree path (_tree_swap_in), and an excluded tree
+    edge the lightest edge across the cut it leaves (_tree_cut_replace).
+    Prim runs only at the root and for entries whose tree lost an edge to a
+    forced-out conflict; those values are bit-exact, and swapped ones carry
+    rounding from their running sums, far inside _TOL, so the leaf test
+    confirms a near-zero completion with Prim. Component entries are only
+    updated where the per-hyperedge bound did not prune. Pruning only drops
+    subtrees longer than the incumbent plus _TOL, so the incumbents and the
+    support are those of the per-hyperedge bound alone, from fewer nodes.
     """
     limits = limits or SolveLimits()
     cands = candidate_edges(h)
@@ -336,20 +439,46 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     inf = math.inf
     k = h.k
 
-    # weights[s] is hyperedge s's local weight matrix under the current
-    # status (0.0 in, inf out, the length when undecided); edge_locals[e]
-    # lists the (s, i, j) cells edge e occupies.
+    # weights[s] is entry s's local weight matrix under the current status
+    # (0.0 in, inf out, the length when undecided): hyperedges first, then
+    # components. edge_locals[e] lists the (s, i, j, position) cells edge e
+    # occupies, and entry_edges[s] entry s's (e, i, j) cells in branching
+    # order, so edge e is entry_edges[s][position].
     weights: list[list[list[float]]] = []
-    edge_locals: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for s, hyp in enumerate(h.hyperedges):
-        mem = sorted(hyp)
+    edge_locals: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
+    entry_edges: list[list[tuple[int, int, int]]] = []
+
+    def add_entry(mem: list[int]) -> None:
+        s = len(weights)
         w = [[inf] * len(mem) for _ in mem]
+        cells = []
         for i in range(len(mem)):
             for j in range(i + 1, len(mem)):
-                eidx = idx_of[(mem[i], mem[j])]
-                w[i][j] = w[j][i] = elen[eidx]
-                edge_locals[eidx].append((s, i, j))
+                eidx = idx_of.get((mem[i], mem[j]))
+                if eidx is not None:
+                    w[i][j] = w[j][i] = elen[eidx]
+                    cells.append((eidx, i, j))
+        cells.sort()
+        for pos, (eidx, i, j) in enumerate(cells):
+            edge_locals[eidx].append((s, i, j, pos))
         weights.append(w)
+        entry_edges.append(cells)
+
+    for hyp in h.hyperedges:
+        add_entry(sorted(hyp))
+    # Components of the intersection graph, as those of the candidate edges;
+    # singles are the hyperedges alone in theirs, whose entry is their own.
+    vdsu = DisjointSet(h.n)
+    for u, v in order:
+        vdsu.union(u, v)
+    groups: dict[int, list[int]] = {}
+    for s, hyp in enumerate(h.hyperedges):
+        groups.setdefault(vdsu.find(min(hyp)), []).append(s)
+    singles = [grp[0] for grp in groups.values() if len(grp) == 1]
+    for grp in groups.values():
+        if len(grp) > 1:
+            add_entry(sorted(set().union(*(h.hyperedges[s] for s in grp))))
+    nent = len(weights)
 
     conflicts: list[list[int]] = [[] for _ in range(m)]
     if c.require_plane:
@@ -362,45 +491,40 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     def set_status(eidx: int, st: int) -> None:
         status[eidx] = st
         val = elen[eidx] if st == 0 else (0.0 if st == 1 else inf)
-        for s, i, j in edge_locals[eidx]:
+        for s, i, j, _ in edge_locals[eidx]:
             w = weights[s]
             w[i][j] = w[j][i] = val
 
-    def completion(s: int):
-        """Prim from local vertex 0: (total, parent array), or (inf, None)
-        when the hyperedge cannot be connected."""
-        w = weights[s]
-        cnt = len(w)
-        if cnt <= 1:
-            return 0.0, ()
-        dist = [inf] * cnt
-        dist[0] = 0.0
-        parent = [-1] * cnt
-        used = [False] * cnt
-        total = 0.0
-        for _ in range(cnt):
-            best = -1
-            bd = inf
-            for vtx in range(cnt):
-                if not used[vtx] and dist[vtx] < bd:
-                    bd = dist[vtx]
-                    best = vtx
-            if best < 0:
-                return inf, None
-            used[best] = True
-            total += bd
-            row = w[best]
-            for vtx in range(cnt):
-                if not used[vtx] and row[vtx] < dist[vtx]:
-                    dist[vtx] = row[vtx]
-                    parent[vtx] = best
-        return total, parent
-
-    def tree_users(eidx: int, parents, into: set[int]) -> None:
-        for s, i, j in edge_locals[eidx]:
+    def refresh(lo: int, hi: int, d: int, values, parents, dirty) -> bool:
+        """Bring entries lo..hi-1 up to date after branch d decided edge d:
+        Prim for those in dirty, a swap where d's decision changes the
+        tree. False when one of them can no longer be connected."""
+        for s in dirty:
+            if lo <= s < hi:
+                values[s], parents[s] = _prim(weights[s])
+                if parents[s] is None:
+                    return False
+        if d < 0:
+            return True
+        for s, i, j, pos in edge_locals[d]:
+            if s < lo or s >= hi or s in dirty:
+                continue
             par = parents[s]
-            if par[i] == j or par[j] == i:
-                into.add(s)
+            if status[d] == 1:
+                delta, parents[s] = _tree_swap_in(weights[s], par, i, j, elen[d])
+            elif par[i] == j or par[j] == i:
+                # Every edge before d is decided, and no included one
+                # crosses the cut (it would beat d), so the lightest
+                # crossing edge is the first undecided one after d.
+                later = ((a, b) for e, a, b in islice(entry_edges[s], pos + 1, None)
+                         if not status[e])
+                delta, parents[s] = _tree_cut_replace(weights[s], par, i, j, elen[d], later)
+                if delta == inf:
+                    return False
+            else:
+                continue
+            values[s] += delta
+        return True
 
     seed = _initial_incumbent(h, c)
     best_len, best_edges = seed if seed is not None else (None, None)
@@ -412,6 +536,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     t_start = time.perf_counter()
 
     def dfs(depth: int, values: list[float], parents: list, dirty: set[int]) -> None:
+        # Edge depth - 1 was decided on the way here; dirty holds the
+        # entries whose tree lost an edge to a forced-out conflict.
         nonlocal nodes, best_len, best_edges, committed
         nodes += 1
         if limits.node_cap is not None and nodes > limits.node_cap:
@@ -420,30 +546,27 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                 and time.perf_counter() - t_start > limits.time_cap:
             raise _Capped
 
-        if dirty:
-            if best_len is not None:
-                limit = best_len + _TOL
-                for s in range(k):
-                    if s not in dirty and committed + values[s] > limit:
-                        return
-            values = values[:]
-            parents = parents[:]
-            for s in dirty:
-                comp, par = completion(s)
-                if comp == inf:
-                    return
-                values[s] = comp
-                parents[s] = par
-        worst = max(values, default=0.0)
+        values = values[:]
+        parents = parents[:]
+        if not refresh(0, k, depth - 1, values, parents, dirty):
+            return
+        worst = max(values[:k], default=0.0)
         if best_len is not None and committed + worst > best_len + _TOL:
             return
-        if worst <= 0.0:
-            # Committed edges already span every hyperedge; any deeper node
-            # only adds edges, so this is the subtree's best solution.
+        if worst <= _TOL and not any(_prim(weights[s])[0] for s in range(k)):
+            # Committed edges already span every hyperedge (swapped values
+            # carry rounding, so Prim confirms it); any deeper node only
+            # adds edges, so this is the subtree's best solution.
             sol = frozenset(order[i] for i in included)
             if _better_solution(committed, sol, best_len, best_edges):
                 best_len, best_edges = committed, sol
             return
+        if k > 1:
+            if not refresh(k, nent, depth - 1, values, parents, dirty):
+                return
+            bound = committed + sum(values[k:]) + sum([values[s] for s in singles])
+            if best_len is not None and bound > best_len + _TOL:
+                return
 
         d = depth
         while d < m and status[d] != 0:
@@ -459,17 +582,20 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             feasible = token is not None  # None: (u, v) would close a cycle
         if feasible:
             set_status(d, 1)
-            changed = {s for s, _, _ in edge_locals[d]}
             forced: list[int] = []
+            hit: set[int] = set()
             if c.require_plane:
                 for j in conflicts[d]:
                     if status[j] == 0:
                         set_status(j, 2)
                         forced.append(j)
-                        tree_users(j, parents, changed)
+                        for s, a, b, _ in edge_locals[j]:
+                            par = parents[s]
+                            if par[a] == b or par[b] == a:
+                                hit.add(s)
             included.append(d)
             committed += elen[d]
-            dfs(d + 1, values, parents, changed)
+            dfs(d + 1, values, parents, hit)
             committed -= elen[d]
             included.pop()
             for j in forced:
@@ -478,14 +604,12 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                 gdsu.undo(token)
 
         set_status(d, 2)
-        changed = set()
-        tree_users(d, parents, changed)
-        dfs(d + 1, values, parents, changed)
+        dfs(d + 1, values, parents, set())
         set_status(d, 0)
 
     capped = False
     try:
-        dfs(0, [0.0] * k, [()] * k, set(range(k)))
+        dfs(0, [0.0] * nent, [()] * nent, set(range(nent)))
     except _Capped:
         capped = True
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .geom import SegmentConflicts, segments_conflict
+from .geom import Segment, SegmentConflicts, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, DisjointSet,
                     Edge, Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import emst, mst_with_free_edges, star_support
@@ -170,6 +170,7 @@ class _Tables:
             lst.sort()
             self.cands.append(lst)
         self._hyps: dict[Edge, tuple[int, ...]] = {}
+        self._segments: dict[Edge, Segment] = {}
         self._pair_conflicts: dict[tuple[Edge, Edge], bool] = {}
         self._conflicts: dict[Edge, frozenset[Edge]] = {}
         # A replacement pair is strictly shorter than the edge it replaces,
@@ -192,12 +193,18 @@ class _Tables:
             out = self._hyps[e] = tuple(s for s in range(self.h.k) if mask >> s & 1)
         return out
 
+    def segment(self, e: Edge) -> Segment:
+        seg = self._segments.get(e)
+        if seg is None:
+            seg = self._segments[e] = self.h.segment(*e)
+        return seg
+
     def conflict(self, e1: Edge, e2: Edge) -> bool:
         key = (e1, e2) if e1 <= e2 else (e2, e1)
         hit = self._pair_conflicts.get(key)
         if hit is None:
-            hit = self._pair_conflicts[key] = segments_conflict(self.h.segment(*e1),
-                                                                self.h.segment(*e2))
+            hit = self._pair_conflicts[key] = segments_conflict(self.segment(e1),
+                                                                self.segment(e2))
         return hit
 
     def conflicts_of(self, x: Edge) -> frozenset[Edge]:

@@ -169,78 +169,83 @@ def test_node_cap_returns_unproven_incumbent():
     assert full.length <= res.length + 1e-9
 
 
-# (n, k, seed of a MID instance, regime, node cap) -> (nodes explored,
-# length, proven optimal, sorted edges), recorded from the solver that ran
-# Prim for every hyperedge at every node. The incremental bound must explore
-# the same tree and return the same support.
+# (n, k, seed of a MID instance, regime, node cap) -> (node ceiling, nodes
+# explored, length, proven optimal, sorted edges). The ceiling is the count
+# of the per-hyperedge bound alone; adding the component bound only prunes
+# subtrees longer than the incumbent, so it explores a subset of those nodes
+# and returns the same uncapped support.
 _SEARCH_PINS = {
-    (8, 2, 4, "u", None): (841, 196.61409259919296, True,
+    (8, 2, 4, "u", None): (841, 29, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "t", None): (676, 196.61409259919296, True,
+    (8, 2, 4, "t", None): (676, 22, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "p", None): (429, 196.61409259919296, True,
+    (8, 2, 4, "p", None): (429, 29, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "pt", None): (365, 196.61409259919296, True,
+    (8, 2, 4, "pt", None): (365, 22, 196.61409259919296, True,
                             [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 3, 2, "u", None): (461, 208.53608233936453, True,
+    (8, 3, 2, "u", None): (461, 461, 208.53608233936453, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
-    (8, 3, 2, "t", None): (402, 208.53608233936453, True,
+    (8, 3, 2, "t", None): (402, 402, 208.53608233936453, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
-    (8, 3, 2, "p", None): (399, 213.43091622996988, True,
+    (8, 3, 2, "p", None): (399, 399, 213.43091622996988, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
-    (8, 3, 2, "pt", None): (341, 213.43091622996988, True,
+    (8, 3, 2, "pt", None): (341, 341, 213.43091622996988, True,
                             [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
-    (8, 3, 4, "u", None): (2465, 321.0899351015403, True,
+    (8, 3, 4, "u", None): (2465, 1701, 321.0899351015403, True,
                            [(0, 2), (0, 3), (0, 6), (0, 7), (1, 4), (1, 5), (4, 6), (5, 7)]),
-    (8, 3, 4, "t", None): (5053, 343.8862859244787, True,
+    (8, 3, 4, "t", None): (5053, 3770, 343.8862859244787, True,
                            [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (4, 6)]),
-    (8, 3, 4, "p", None): (1801, 341.06149592494125, True,
+    (8, 3, 4, "p", None): (1801, 1355, 341.06149592494125, True,
                            [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (5, 7)]),
-    (8, 3, 4, "pt", None): (3814, 401.8008524345189, True,
+    (8, 3, 4, "pt", None): (3814, 3507, 401.8008524345189, True,
                             [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
-    (9, 2, 4, "u", None): (251, 255.32303601974525, True,
+    (9, 2, 4, "u", None): (251, 47, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "t", None): (242, 255.32303601974525, True,
+    (9, 2, 4, "t", None): (242, 42, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "p", None): (243, 258.1415682502174, True,
+    (9, 2, 4, "p", None): (243, 47, 258.1415682502174, True,
                            [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "pt", None): (236, 258.1415682502174, True,
+    (9, 2, 4, "pt", None): (236, 43, 258.1415682502174, True,
                             [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 3, 3, "u", None): (347, 258.7099600811283, True,
+    (9, 3, 3, "u", None): (347, 231, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "t", None): (255, 258.7099600811283, True,
+    (9, 3, 3, "t", None): (255, 171, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "p", None): (235, 258.7099600811283, True,
+    (9, 3, 3, "p", None): (235, 187, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "pt", None): (179, 258.7099600811283, True,
+    (9, 3, 3, "pt", None): (179, 142, 258.7099600811283, True,
                             [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 7, "u", None): (2115, 272.61727593091393, True,
+    (9, 3, 7, "u", None): (2115, 1795, 272.61727593091393, True,
                            [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7),
                             (5, 7)]),
-    (9, 3, 7, "t", None): (2382, 277.8394986707699, True,
+    (9, 3, 7, "t", None): (2382, 2062, 277.8394986707699, True,
                            [(0, 1), (1, 4), (1, 5), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7)]),
-    (9, 3, 7, "p", None): (803, 283.55605063891556, True,
+    (9, 3, 7, "p", None): (803, 695, 283.55605063891556, True,
                            [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
                             (6, 8)]),
-    (9, 3, 7, "pt", None): (1301, 301.3161961526688, True,
+    (9, 3, 7, "pt", None): (1301, 1163, 301.3161961526688, True,
                             [(0, 1), (1, 4), (1, 5), (1, 7), (1, 8), (2, 7), (3, 4), (4, 6)]),
     # Capped after the search has improved on the heuristic seed (301.32 and
-    # 348.93) but before it has proven that improvement optimal.
-    (9, 3, 7, "p", 400): (401, 283.55605063891556, False,
+    # 348.93) but before it has proven that improvement optimal. With the
+    # component bound the same caps still stop before a proof, at the same
+    # incumbents.
+    (9, 3, 7, "p", 400): (401, 401, 283.55605063891556, False,
                           [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
                            (6, 8)]),
-    (9, 3, 11, "p", 1000): (1001, 341.5454344156613, False,
+    (9, 3, 11, "p", 1000): (1001, 1001, 341.5454344156613, False,
                             [(0, 5), (1, 4), (1, 7), (2, 5), (3, 5), (3, 7), (4, 5), (5, 6),
                              (5, 8)]),
 }
 
 
 def test_search_tree_and_supports_are_pinned():
-    for (n, k, seed, label, cap), expected in _SEARCH_PINS.items():
+    for (n, k, seed, label, cap), (ceiling, *expected) in _SEARCH_PINS.items():
         h = generate(n, k, DegreeScheme.MID, random.Random(seed))
-        res = solve_exact(h, ConstraintSet.from_label(label), SolveLimits(node_cap=cap))
-        got = (res.nodes_explored, res.length, res.proven_optimal, res.support.sorted_edges())
+        c = ConstraintSet.from_label(label)
+        res = solve_exact(h, c, SolveLimits(node_cap=cap))
+        got = [res.nodes_explored, res.length, res.proven_optimal, res.support.sorted_edges()]
         assert got == expected, (n, k, seed, label, cap)
+        assert res.nodes_explored <= ceiling
 
 
 def test_limits_without_incumbent_raise():
@@ -381,8 +386,9 @@ def _greedy_reference(h, c):
 
 # Empty-core instances on which mst_iteration's support is not plane, so
 # solve_exact seeds its search with _greedy_support: (points, hyperedges,
-# the optimum's edges, nodes under p, nodes under pt). The greedy support is
-# the optimum on each. The pinned node counts are those of the pairwise scan.
+# the optimum's edges, node ceilings under p and pt). The greedy support is
+# the optimum on each. The ceilings are the counts of the per-hyperedge bound
+# alone; _EMPTY_CORE_NODES maps them to the counts with the component bound.
 EMPTY_CORE_PLANE = [
     ([(0, -1), (0, 1), (-1.5, 0), (1.5, 0), (0, 5)], [{0, 1}, {2, 3, 4}],
      [(0, 1), (2, 4), (3, 4)], 7, 7),
@@ -396,19 +402,62 @@ EMPTY_CORE_PLANE = [
      [(0, 1), (0, 2), (1, 7), (3, 5), (3, 6), (4, 6)], 115, 104),
 ]
 
+_EMPTY_CORE_NODES = {(7, 7): (7, 7), (67, 67): (13, 13), (11, 11): (11, 11),
+                     (115, 104): (69, 60)}
+
 
 @pytest.mark.parametrize("points,hyperedges,edges,nodes_p,nodes_pt", EMPTY_CORE_PLANE)
 def test_greedy_seed_under_plane_regimes(points, hyperedges, edges, nodes_p, nodes_pt):
     h = hg(points, hyperedges)
     assert not h.core()
-    for c, nodes in ((PLANE, nodes_p), (PLANE_TREE, nodes_pt)):
+    now_p, now_pt = _EMPTY_CORE_NODES[nodes_p, nodes_pt]
+    for c, ceiling, nodes in ((PLANE, nodes_p, now_p), (PLANE_TREE, nodes_pt, now_pt)):
         greedy = _greedy_support(h, c)
         assert greedy == _greedy_reference(h, c)
         assert greedy.sorted_edges() == edges
         res = solve_exact(h, c)
         assert res.support.sorted_edges() == edges
-        assert res.nodes_explored == nodes
+        assert res.nodes_explored == nodes <= ceiling
         assert res.proven_optimal
+
+
+# Empty-core instances whose hyperedge intersection graph has two or more
+# components, at least one of them holding two or more hyperedges, so the
+# bound sums component completions. Each is feasible in every regime, and
+# on the first four the four optima all differ; the last two have two
+# components of two hyperedges each.
+MULTI_COMPONENT = [
+    ([(1, 2), (3, 4), (4, 5), (0, 2), (1, 3), (2, 2), (5, 1)],
+     [{0, 1, 3, 6}, {1, 3, 4}, {0, 1, 4}, {2, 5}]),
+    ([(4, 5), (0, 5), (1, 4), (1, 2), (1, 3), (4, 4), (2, 2), (5, 0)],
+     [{0, 2, 4, 6}, {0, 1, 6}, {0, 1, 2}, {3, 5, 7}]),
+    ([(2, 2), (2, 0), (3, 4), (0, 5), (3, 0), (3, 3), (4, 2)],
+     [{0, 1, 3, 5}, {1, 2, 3}, {1, 2, 5}, {4, 6}]),
+    ([(4, 1), (4, 4), (3, 5), (2, 0), (3, 2), (2, 1), (5, 0), (1, 3)],
+     [{2, 3, 4, 6}, {2, 5, 7}, {2, 3, 5}, {0, 1}]),
+    ([(4, 3), (3, 1), (5, 5), (3, 0), (1, 0), (3, 2), (3, 5), (3, 4)],
+     [{4, 5, 7}, {6, 7}, {0, 2}, {1, 2, 3}]),
+    ([(1, 3), (4, 4), (5, 3), (1, 2), (3, 1), (2, 4), (0, 5), (1, 1)],
+     [{6, 7}, {1, 3, 6}, {0, 4}, {2, 4, 5}]),
+]
+
+
+@pytest.mark.parametrize("points,hyperedges", MULTI_COMPONENT)
+def test_multi_component_bound_matches_oracle(points, hyperedges):
+    h = hg(points, hyperedges)
+    components = DisjointSet(h.k)
+    for a in range(h.k):
+        for b in range(a + 1, h.k):
+            if h.hyperedges[a] & h.hyperedges[b]:
+                components.union(a, b)
+    roots = [components.find(s) for s in range(h.k)]
+    assert len(set(roots)) >= 2 and len(set(roots)) < h.k
+    for c in ALL_CONSTRAINTS:
+        expected = brute_force_oracle(h, c)
+        res = solve_exact(h, c)
+        assert res.proven_optimal
+        assert res.length == pytest.approx(expected.length, abs=1e-9)
+        assert res.support == expected.support
 
 
 def test_greedy_seed_matches_pairwise_scan():

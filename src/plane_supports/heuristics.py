@@ -60,12 +60,15 @@ def _union_support(trees: dict[int, frozenset[Edge]]) -> SupportGraph:
     return SupportGraph(frozenset(edges))
 
 
-def _execute_sequence(h: Hypergraph, steps, trees=None) -> dict[int, frozenset[Edge]]:
+def _execute_sequence(h: Hypergraph, steps, trees=None, built=None) -> dict[int, frozenset[Edge]]:
     """Run the given recomputation steps, starting from `trees` (or nothing).
 
     Step s rebuilds tree s with every edge of the *other* trees that lies
     inside hyperedge s available at weight zero. Recomputing an existing tree
-    can only shorten the support (tests check this step by step).
+    can only shorten the support (tests check this step by step). If `built`
+    is given, it maps each tree to the free set it was last built with and is
+    kept up to date; a step whose free set is unchanged keeps its tree, since
+    mst_with_free_edges is a pure function of the members and the free set.
     """
     trees = dict(trees) if trees else {}
     members = [sorted(s) for s in h.hyperedges]
@@ -78,6 +81,10 @@ def _execute_sequence(h: Hypergraph, steps, trees=None) -> dict[int, frozenset[E
             for u, v in t:
                 if u in mset and v in mset:
                     free.add((u, v))
+        if built is not None:
+            if built.get(s) == free:
+                continue
+            built[s] = free
         trees[s] = frozenset(mst_with_free_edges(members[s], free, h).edges)
     return trees
 
@@ -127,16 +134,18 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
         return SolveReport(support, length, 3)
 
     # k > 2: start from the approximation state so every later step is a
-    # pure recomputation, then iterate passes to stability.
+    # pure recomputation, then iterate passes to stability. An EMST is the
+    # tree built with no free edges, so `built` starts empty for each tree.
     trees = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in range(k)}
+    built: dict[int, set[Edge]] = {s: set() for s in range(k)}
+    support = _union_support(trees)
     passes = 0
     for _ in range(max_passes):
-        before = frozenset(_union_support(trees).edges)
-        trees = _execute_sequence(h, list(range(k)), trees)
+        trees = _execute_sequence(h, range(k), trees, built)
         passes += 1
-        if frozenset(_union_support(trees).edges) == before:
+        before, support = support, _union_support(trees)
+        if support == before:
             break
-    support = _union_support(trees)
     return SolveReport(support, total_length(support, h), passes)
 
 

@@ -1,16 +1,17 @@
 """Euclidean minimum spanning trees and the zero-weight reuse variant.
 
 All tree computations share one deterministic tie-break: candidate edges are
-compared by (weight, min endpoint id, max endpoint id). This makes every
-result reproducible and lets the containment lemma (a zero-weight MST is a
-subset of the free edges and the Euclidean MST) hold exactly, not just for
-instances with unique distances.
+compared by (weight, min endpoint id, max endpoint id). That is a strict
+total order on edges, so the minimum spanning tree under it is unique (Prim
+1957; Kruskal 1956) and any correct MST algorithm returns the same edge set.
+This makes every result reproducible and lets the containment lemma (a
+zero-weight MST is a subset of the free edges and the Euclidean MST) hold
+exactly, not just for instances with unique distances.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 
 from .geom import distance
 from .model import Edge, Hypergraph, SupportGraph, edge_key
@@ -21,73 +22,63 @@ class EmptyCoreError(Exception):
 
 
 def mst_with_free_edges(ids, free, h: Hypergraph) -> SupportGraph:
-    """Prim's algorithm where edges in `free` weigh zero.
+    """Minimum spanning tree of `ids` where edges in `free` weigh zero and
+    every other edge its Euclidean length.
 
-    When a vertex joins the tree, its free neighbours are offered first (at
-    weight zero) and marked, then the remaining outside vertices at their
-    Euclidean distance. The output is always a subset of `free` united with
-    the Euclidean MST of `ids`.
+    A dense-array Prim over local indices 0..m-1, assigned in id order and
+    grown from the smallest id. Each step makes one pass over the outside
+    vertices: it relaxes each one's cheapest edge into the tree through the
+    vertex that just joined, and keeps the minimum by (weight, tie key). The
+    tie key min_local * m + max_local orders edges as (min id, max id) does,
+    because local order is id order. The minimum leaves the outside list by
+    swap-and-pop. The output is always a subset of `free` united with the
+    Euclidean MST of `ids`.
     """
     id_list = sorted(set(ids))
     if not id_list:
         raise ValueError("cannot span an empty vertex set")
-    id_set = set(id_list)
+    m = len(id_list)
+    local = {v: i for i, v in enumerate(id_list)}
 
-    free_adj: dict[int, set[int]] = {v: set() for v in id_list}
+    free_adj: list[set[int]] = [set() for _ in range(m)]
     for a, b in free:
         u, v = edge_key(a, b)
-        if u not in id_set or v not in id_set:
+        if u not in local or v not in local:
             raise ValueError(f"free edge ({u}, {v}) has an endpoint outside the vertex set")
-        free_adj[u].add(v)
-        free_adj[v].add(u)
+        free_adj[local[u]].add(local[v])
+        free_adj[local[v]].add(local[u])
 
-    if len(id_list) == 1:
+    if m == 1:
         return SupportGraph(frozenset())
 
-    xs = {v: h.vertices[v].x for v in id_list}
-    ys = {v: h.vertices[v].y for v in id_list}
-    outside = id_list[1:]
-    # best[v] = cheapest known edge into v, keyed (weight, min id, max id).
-    # The heap holds every key best has held; on pop, keys no longer in
-    # best are skipped, so the pop is the minimum of best.
-    best: dict[int, tuple[float, int, int]] = {}
-    heap: list[tuple[float, int, int, int]] = []
+    hypot = math.hypot
+    pos = h.vertices
+    xs = [pos[v].x for v in id_list]
+    ys = [pos[v].y for v in id_list]
+    # best_w[v], best_k[v]: weight and tie key of the cheapest known edge
+    # from the tree to outside vertex v.
+    no_key = m * m  # above every tie key
+    best_w = [math.inf] * m
+    best_k = [no_key] * m
+    outside = list(range(1, m))
     chosen: list[Edge] = []
-
-    def offer_from(x: int) -> None:
-        px, py = xs[x], ys[x]
-        marked = free_adj[x]
-        for v in marked:
-            key = (0.0,) + edge_key(x, v)
-            if v not in best or key < best[v]:
-                best[v] = key
-                heappush(heap, key + (v,))
-        for v in outside:
-            if v in marked:
-                continue
-            w = math.hypot(xs[v] - px, ys[v] - py)  # distance(pos[x], pos[v])
-            cur = best.get(v)
-            if cur is None or w <= cur[0]:
-                key = (w,) + edge_key(x, v)
-                if cur is None or key < cur:
-                    best[v] = key
-                    heappush(heap, key + (v,))
-
-    x = id_list[0]
-    while True:
-        # x joins the tree: it is no longer a free neighbour to offer.
-        for v in free_adj[x]:
-            free_adj[v].discard(x)
-        if not outside:
-            break
-        offer_from(x)
-        while True:
-            w, a, b, x = heappop(heap)
-            if best.get(x) == (w, a, b):
-                break
-        del best[x]
-        outside.remove(x)
-        chosen.append((a, b))
+    x = 0
+    while outside:
+        px, py, marked = xs[x], ys[x], free_adj[x]
+        bw, bk, bi = math.inf, no_key, 0
+        for i, v in enumerate(outside):
+            w = 0.0 if v in marked else hypot(xs[v] - px, ys[v] - py)
+            cw = best_w[v]
+            if w <= cw:
+                key = x * m + v if x < v else v * m + x
+                if w < cw or key < best_k[v]:
+                    best_w[v] = cw = w
+                    best_k[v] = key
+            if cw <= bw and (cw < bw or best_k[v] < bk):
+                bw, bk, bi = cw, best_k[v], i
+        x, outside[bi] = outside[bi], outside[-1]
+        outside.pop()
+        chosen.append((id_list[bk // m], id_list[bk % m]))
 
     return SupportGraph(frozenset(chosen))
 

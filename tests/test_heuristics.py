@@ -11,8 +11,9 @@ from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
                                        local_search_seeded,
                                        mst_approximation, mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
-                                  Hypergraph, UNRESTRICTED, satisfies, total_length)
-from plane_supports.mst import EmptyCoreError, emst, star_support
+                                  Hypergraph, SupportGraph, UNRESTRICTED, satisfies,
+                                  total_length)
+from plane_supports.mst import EmptyCoreError, emst, mst_with_free_edges, star_support
 
 
 def hg(points, hyperedges):
@@ -105,6 +106,73 @@ def test_iteration_reports_pass_count_for_many_hyperedges():
     rep = mst_iteration(h)
     assert rep.rounds_or_passes >= 1
     assert satisfies(rep.support, h, UNRESTRICTED)
+
+
+def _rebuild_every_tree_every_pass(h, max_passes=20):
+    """mst_iteration for k > 2 without skipping: every pass rebuilds all k
+    trees, each with the other trees' edges inside its hyperedge free."""
+    members = [sorted(m) for m in h.hyperedges]
+    trees = [emst(m, h).edges for m in members]
+    passes = 0
+    while passes < max_passes:
+        before = frozenset().union(*trees)
+        for s, mset in enumerate(h.hyperedges):
+            free = {(u, v) for t, tree in enumerate(trees) if t != s
+                    for u, v in tree if u in mset and v in mset}
+            trees[s] = mst_with_free_edges(members[s], free, h).edges
+        passes += 1
+        if frozenset().union(*trees) == before:
+            break
+    support = SupportGraph(frozenset().union(*trees))
+    return support, total_length(support, h), passes
+
+
+def test_iteration_skips_only_rebuilds_that_change_nothing():
+    # A step whose free set is unchanged since its tree was built keeps that
+    # tree; the result must be the one of rebuilding every tree every pass.
+    rng = random.Random(41)
+    pool = [generate(8 + 3 * i, 3 + i % 4, scheme, random.Random(500 + i))
+            for scheme in (DegreeScheme.MID, DegreeScheme.EVEN, DegreeScheme.HIGH)
+            for i in range(12)]
+    pool += [_grid_instance(rng) for _ in range(12)]
+    for h in pool:
+        rep = mst_iteration(h)
+        support, length, passes = _rebuild_every_tree_every_pass(h)
+        assert rep.support == support
+        assert rep.length == pytest.approx(length, rel=1e-12, abs=0)
+        assert rep.rounds_or_passes == passes
+
+
+def test_a_changed_free_set_of_the_same_size_is_rebuilt():
+    # Tree 0 was built with (0, 1) free; tree 1 now offers (0, 2) instead.
+    h = hg([(0, 0), (10, 0), (5, 1), (5, -1)], [{0, 1, 2, 3}, {0, 2}])
+    old = mst_with_free_edges([0, 1, 2, 3], [(0, 1)], h).edges
+    new = mst_with_free_edges([0, 1, 2, 3], [(0, 2)], h).edges
+    assert old != new
+    built = {0: {(0, 1)}, 1: set()}
+    trees = _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built)
+    assert trees[0] == new and built[0] == {(0, 2)}
+    # The same free set again keeps whatever tree is there.
+    assert _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built)[0] == old
+
+
+def test_iteration_skip_saves_tree_computations(monkeypatch):
+    # Without the skip, k EMSTs and k rebuilds per pass make k * (passes + 1)
+    # calls; on this instance some rebuilds would repeat their free set.
+    import plane_supports.heuristics as heuristics
+    import plane_supports.mst as mst
+    calls = []
+
+    def counting(ids, free, h):
+        calls.append(ids)
+        return mst_with_free_edges(ids, free, h)
+
+    monkeypatch.setattr(mst, "mst_with_free_edges", counting)
+    monkeypatch.setattr(heuristics, "mst_with_free_edges", counting)
+    h = generate(20, 4, DegreeScheme.MID, random.Random(7))
+    rep = mst_iteration(h)
+    assert len(calls) < h.k * (rep.rounds_or_passes + 1)
+    assert rep.support == _rebuild_every_tree_every_pass(h)[0]
 
 
 def test_recomputing_a_tree_never_lengthens_the_support():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from plane_supports.gen import DegreeScheme, generate
-from plane_supports.model import DisjointSet, Hypergraph, SupportGraph, total_length
+from plane_supports.model import DisjointSet, Hypergraph, SupportGraph, edge_key, total_length
 from plane_supports.mst import EmptyCoreError, emst, mst_with_free_edges, star_support
 
 
@@ -98,6 +98,57 @@ def test_zero_weight_mst_contained_in_free_union_emst():
         tree = mst_with_free_edges(range(n), free, h)
         allowed = free | set(emst(range(n), h).edges)
         assert tree.edges <= allowed
+
+
+def kruskal_oracle(ids, free, h):
+    """Kruskal under the shared order (weight, min id, max id), with the
+    free edges at weight zero."""
+    ids = sorted(set(ids))
+    free = {edge_key(a, b) for a, b in free}
+    order = sorted((0.0 if (u, v) in free else h.edge_length(u, v), u, v)
+                   for i, u in enumerate(ids) for v in ids[i + 1:])
+    dsu = DisjointSet(max(ids) + 1)
+    return {(u, v) for _, u, v in order if dsu.union(u, v) is not None}
+
+
+def _oracle_cases(count):
+    """Uniform floats and 3x3..8x8 integer grids (many equal lengths), on
+    random id subsets, with random free sets: none, sparse, dense, a free
+    cycle, or a free spanning tree plus extras."""
+    rng = random.Random(1957)
+    for t in range(count):
+        if t % 2:
+            side = 3 + (t // 2) % 6
+            cells = [(x, y) for x in range(side) for y in range(side)]
+            pts = rng.sample(cells, rng.randint(2, len(cells)))
+        else:
+            pts = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(rng.randint(2, 25))]
+        n = len(pts)
+        ids = list(range(n)) if t % 3 == 0 else rng.sample(range(n), rng.randint(1, n))
+        pairs = [edge_key(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+        kind = t % 5
+        if kind == 0:
+            free = []
+        elif kind in (1, 2):
+            free = [e for e in pairs if rng.random() < (0.1 if kind == 1 else 0.6)]
+        else:
+            walk = rng.sample(ids, len(ids))
+            if kind == 3:   # a free cycle through part of the ids
+                walk = walk[:max(3, len(walk) // 2)]
+                steps = zip(walk, walk[1:] + walk[:1])
+            else:           # a free spanning tree: the free edges already span
+                steps = ((v, rng.choice(walk[:i])) for i, v in enumerate(walk) if i)
+            free = [edge_key(a, b) for a, b in steps if a != b]
+            free += [e for e in pairs if rng.random() < 0.1]
+        yield Hypergraph.build(pts, [set(range(n))]), ids, free
+
+
+def test_free_edge_mst_equals_kruskal_oracle():
+    # The order (weight, min id, max id) is strict, so the spanning tree is
+    # unique: Prim must return exactly Kruskal's edge set.
+    for h, ids, free in _oracle_cases(1500):
+        assert mst_with_free_edges(ids, free, h).edges == kruskal_oracle(ids, free, h), \
+            (h.vertices, ids, free)
 
 
 def test_star_support_examples():

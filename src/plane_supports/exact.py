@@ -18,8 +18,8 @@ from .geom import SegmentConflicts
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
                     UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
                     total_length)
-from .heuristics import local_search, mst_iteration
-from .mst import EmptyCoreError
+from .heuristics import _Tables, _climb, mst_iteration
+from .mst import star_support
 
 _TOL = 1e-9
 
@@ -282,13 +282,13 @@ def _greedy_support(h: Hypergraph, c: ConstraintSet):
 
 
 def _initial_incumbent(h: Hypergraph, c: ConstraintSet):
-    """Best feasible support any heuristic can supply, or None."""
+    """A feasible support, or None: one climb under c alone (a bound needs no
+    nesting) from the star if it fits c, else mst_iteration's, else greedy's."""
     if h.core():
-        try:
-            report = local_search(h, c)
+        star = star_support(h)
+        if satisfies(star, h, c):
+            report = _climb(_Tables(h, star), c, star, max_replacement=3)
             return report.length, frozenset(report.support.edges)
-        except (EmptyCoreError, ValueError):
-            pass
     report = mst_iteration(h)
     if satisfies(report.support, h, c):
         return report.length, frozenset(report.support.edges)
@@ -412,8 +412,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     hyperedges, and components share no vertex or edge, so the sum is a
     valid bound too. Raises InfeasibleError when the completed search finds
     nothing feasible and LimitsExceededError when caps bite before any
-    incumbent exists; otherwise a capped search returns its incumbent with
-    proven_optimal=False.
+    incumbent exists. A capped search returns proven_optimal=False and its
+    seed (one star-seeded climb under c, if the star fits c) or better.
 
     The bound is kept incrementally. Every entry (one per hyperedge, one
     per component of two or more hyperedges) has a weight matrix updated in

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from plane_supports import exact, heuristics
 from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededError,
                                   SolveLimits, _greedy_support, brute_force_oracle,
                                   build_model, emit_lp, solve_exact)
@@ -12,7 +13,7 @@ from plane_supports.geom import segments_conflict
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, Hypergraph,
                                   PLANE, PLANE_TREE, TREE, UNRESTRICTED, SupportGraph,
                                   candidate_edges, satisfies, total_length)
-from plane_supports.mst import emst
+from plane_supports.mst import emst, star_support
 
 
 def hg(points, hyperedges):
@@ -252,6 +253,58 @@ def test_limits_without_incumbent_raise():
     # Empty core and plane-infeasible, so no heuristic incumbent exists.
     with pytest.raises((LimitsExceededError, InfeasibleError)):
         solve_exact(X_CONFIG, PLANE, SolveLimits(node_cap=1))
+
+
+def _patch_climb(monkeypatch, replacement):
+    # exact holds its own reference to _climb; patch both names, so that a
+    # climb made through local_search's cascade would be seen as well.
+    monkeypatch.setattr(heuristics, "_climb", replacement)
+    monkeypatch.setattr(exact, "_climb", replacement, raising=False)
+
+
+def test_incumbent_is_one_climb_per_solve(monkeypatch):
+    h = generate(9, 3, DegreeScheme.MID, random.Random(3))
+    assert h.core()
+    climbs = []
+    real_climb = heuristics._climb
+
+    def counting(tables, c, start, *args, **kwargs):
+        climbs.append(c.label)
+        return real_climb(tables, c, start, *args, **kwargs)
+
+    _patch_climb(monkeypatch, counting)
+    res = solve_exact(h, UNRESTRICTED)
+    assert climbs == ["u"]
+    assert (res.nodes_explored, res.length) == _SEARCH_PINS[9, 3, 3, "u", None][1:3]
+
+
+def test_error_inside_the_incumbent_climb_propagates(monkeypatch):
+    h = generate(9, 3, DegreeScheme.MID, random.Random(3))
+
+    def failing(*args, **kwargs):
+        raise ValueError("climb failed")
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("fell back to mst_iteration")
+
+    _patch_climb(monkeypatch, failing)
+    monkeypatch.setattr(exact, "mst_iteration", no_fallback)
+    with pytest.raises(ValueError, match="climb failed"):
+        solve_exact(h, UNRESTRICTED)
+
+
+def test_star_violating_the_regime_falls_back():
+    # Core {0}; the star's spokes 0-1 and 0-2 overlap, so it is not plane.
+    h = hg([(0, 0), (1, 0), (2, 0), (0, 1)], [{0, 1, 2}, {0, 3}])
+    star = star_support(h)
+    assert h.core() == {0}
+    assert satisfies(star, h, TREE) and not satisfies(star, h, PLANE)
+    for c in ALL_CONSTRAINTS:
+        expected = brute_force_oracle(h, c)
+        res = solve_exact(h, c)
+        assert res.proven_optimal
+        assert res.support == expected.support, c.label
+        assert res.length == expected.length, c.label
 
 
 def _parse_lp(text):

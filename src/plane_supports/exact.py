@@ -18,8 +18,7 @@ from .geom import SegmentConflicts
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
                     UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
                     total_length)
-from .heuristics import _Tables, _climb, mst_iteration
-from .mst import star_support
+from .heuristics import _climb, _star_seed, mst_iteration
 
 _TOL = 1e-9
 
@@ -285,9 +284,9 @@ def _initial_incumbent(h: Hypergraph, c: ConstraintSet):
     """A feasible support, or None: one climb under c alone (a bound needs no
     nesting) from the star if it fits c, else mst_iteration's, else greedy's."""
     if h.core():
-        star = star_support(h)
-        if satisfies(star, h, c):
-            report = _climb(_Tables(h, star), c, star, max_replacement=3)
+        star, tables, star_fits = _star_seed(h)
+        if star_fits(c):
+            report = _climb(tables, c, star, max_replacement=3)
             return report.length, frozenset(report.support.edges)
     report = mst_iteration(h)
     if satisfies(report.support, h, c):

@@ -3,10 +3,14 @@
 Coordinates are plain floats. Predicates compare the cross product against
 ORIENT_EPS, an absolute tolerance, instead of using exact arithmetic, which
 is plenty for the coordinate scales this package works at (generated
-instances live in a 100 x 100 square). segments_conflict and
-SegmentConflicts compute the cross products of orientation() inline on the
-raw coordinates, with the same operands and the same ORIENT_EPS cut, so
-they give its answers exactly.
+instances live in a 100 x 100 square). The segment-conflict arithmetic
+lives in two places: coords_conflict, the pairwise test on coordinate
+4-tuples (segments_conflict unpacks two Segments into it, and
+model.conflict_index_pairs walks the edges of a support through it), and
+SegmentConflicts, the bulk query (its passing-through index and its
+queries). Both compute the cross products of orientation() inline, with
+the same operands and the same ORIENT_EPS cut, so they give its answers
+exactly.
 
 Because the tolerance is absolute, answers change under scaling:
 (0, 0)-(2, 2) and (1, 0)-(3, 1) do not conflict, but with every coordinate
@@ -83,13 +87,22 @@ def segments_conflict(s1: Segment, s2: Segment) -> bool:
 
     Segments meeting only at one shared endpoint do not conflict. Collinear
     overlaps conflict, as does a segment whose interior passes through the
-    other's endpoint. The four cross products are those of orientation(),
-    with the same operands and the same ORIENT_EPS cut, computed on the
-    raw coordinates.
+    other's endpoint. The test itself is coords_conflict's.
     """
     a, b, c, d = s1.a, s1.b, s2.a, s2.b
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    cx, cy, dx, dy = c.x, c.y, d.x, d.y
+    return coords_conflict((a.x, a.y, b.x, b.y), (c.x, c.y, d.x, d.y))
+
+
+def coords_conflict(s1: tuple[float, float, float, float],
+                    s2: tuple[float, float, float, float]) -> bool:
+    """segments_conflict for segments given as raw coordinate 4-tuples
+    (ax, ay, bx, by) of distinct endpoints.
+
+    The four cross products are those of orientation(), with the same
+    operands and the same ORIENT_EPS cut.
+    """
+    ax, ay, bx, by = s1
+    cx, cy, dx, dy = s2
     if ((ax == cx and ay == cy and bx == dx and by == dy)
             or (ax == dx and ay == dy and bx == cx and by == cy)):
         return True
@@ -122,62 +135,93 @@ class SegmentConflicts:
     Segment(points[i], points[j]). conflicting(a, b) returns the pairs whose
     segments conflict with Segment(points[a], points[b]), a < b. It makes
     the tests of segments_conflict, but computes each point's side of the
-    query line once per query instead of once per pair, and finds the
-    touching cases through indexes instead of trying every pair.
+    query line once per query instead of once per pair, tries a proper
+    crossing only for the pairs with one endpoint strictly on each side
+    (found through each point's bitmask of partners), and finds the
+    touching cases through indexes built at construction: the pairs ending
+    at each point, and the pairs whose interior passes through it (trying
+    only the points in each pair's bounding box, found as bitmasks).
     """
 
     def __init__(self, points, pairs):
-        self.xs = [p.x for p in points]
-        self.ys = [p.y for p in points]
+        self.xs = xs = [p.x for p in points]
+        self.ys = ys = [p.y for p in points]
         self.pairs = list(pairs)
         self._pair_set = frozenset(self.pairs)
+        # Per axis, below[v] and upto[v] are the bitmasks of the points whose
+        # coordinate is less than v's, and at most v's.
+        masks = []
+        for coords in (xs, ys):
+            order = sorted(range(len(coords)), key=coords.__getitem__)
+            ordered = [coords[v] for v in order]
+            prefix = [0]
+            for v in order:
+                prefix.append(prefix[-1] | 1 << v)
+            masks.append(([prefix[bisect_left(ordered, t)] for t in coords],
+                          [prefix[bisect_right(ordered, t)] for t in coords]))
+        (xbelow, xupto), (ybelow, yupto) = masks
+        # By point: the pairs ending there, its partners as a bitmask, and
+        # the pairs whose segment has it in its interior. Only the points in
+        # a segment's bounding box are tried for the last.
         self._ending: dict[int, list[tuple[int, int]]] = {}
+        self._partners = partners = [0] * len(xs)
+        self._through: dict[int, list[tuple[int, int]]] = {}
         for p in self.pairs:
-            self._ending.setdefault(p[0], []).append(p)
-            self._ending.setdefault(p[1], []).append(p)
-        self._through: dict[int, list[tuple[int, int]]] | None = None
-
-    def _passing_through(self) -> dict[int, list[tuple[int, int]]]:
-        """For each point, the pairs whose segment has it in its interior.
-        Only points within the segment's x-range are tried."""
-        if self._through is None:
-            xs, ys = self.xs, self.ys
-            by_x = sorted(range(len(xs)), key=xs.__getitem__)
-            sorted_x = [xs[v] for v in by_x]
-            self._through = {}
-            for c, d in self.pairs:
-                cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
-                cdx, cdy = dx - cx, dy - cy
-                for v in by_x[bisect_left(sorted_x, min(cx, dx)):
-                              bisect_right(sorted_x, max(cx, dx))]:
-                    vx, vy = xs[v], ys[v]
-                    cross = cdx * (vy - cy) - cdy * (vx - cx)
-                    if (not (cross > ORIENT_EPS or cross < -ORIENT_EPS)
-                            and _strictly_between(cx, cy, dx, dy, vx, vy)):
-                        self._through.setdefault(v, []).append((c, d))
-        return self._through
+            c, d = p
+            if not c < d:
+                raise ValueError(f"pair {p} is not in (min, max) form")
+            self._ending.setdefault(c, []).append(p)
+            self._ending.setdefault(d, []).append(p)
+            bc, bd = 1 << c, 1 << d
+            partners[c] |= bd
+            partners[d] |= bc
+            cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
+            # The points in the segment's bounding box, but for c and d.
+            xbox = xupto[d] ^ xbelow[c] if cx <= dx else xupto[c] ^ xbelow[d]
+            ybox = yupto[d] ^ ybelow[c] if cy <= dy else yupto[c] ^ ybelow[d]
+            inside = xbox & ybox ^ (bc | bd)
+            while inside:
+                low = inside & -inside
+                inside ^= low
+                v = low.bit_length() - 1
+                vx, vy = xs[v], ys[v]
+                cross = (dx - cx) * (vy - cy) - (dy - cy) * (vx - cx)
+                if (not (cross > ORIENT_EPS or cross < -ORIENT_EPS)
+                        and _strictly_between(cx, cy, dx, dy, vx, vy)):
+                    self._through.setdefault(v, []).append(p)
 
     def conflicting(self, a: int, b: int) -> set[tuple[int, int]]:
         xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         abx, aby = bx - ax, by - ay
-        # Each point's side of the query line, as the sign of
-        # orientation(points[a], points[b], point).
-        crosses = [abx * (y - ay) - aby * (x - ax) for x, y in zip(xs, ys)]
-        sides = [1 if cr > ORIENT_EPS else -1 if cr < -ORIENT_EPS else 0 for cr in crosses]
         # Identical segments, and touching: an endpoint of either segment in
         # the other's interior.
         out = {(a, b)} & self._pair_set
-        through = self._passing_through()
-        out.update(through.get(a, ()))
-        out.update(through.get(b, ()))
-        for v, side in enumerate(sides):
-            if side == 0 and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
-                out.update(self._ending.get(v, ()))
+        out.update(self._through.get(a, ()))
+        out.update(self._through.get(b, ()))
+        # Each point's side of the query line, as the sign of
+        # orientation(points[a], points[b], point): the points strictly
+        # left of it, and the bitmask of those strictly right of it.
+        ending = self._ending
+        left = []
+        right = 0
+        for v, cross in enumerate([abx * (y - ay) - aby * (x - ax) for x, y in zip(xs, ys)]):
+            if cross > ORIENT_EPS:
+                left.append(v)
+            elif cross < -ORIENT_EPS:
+                right |= 1 << v
+            elif v in ending and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
+                out.update(ending[v])
         # Proper crossings: each segment's endpoints strictly straddle the
-        # other.
-        for c, d in self.pairs:
-            if sides[c] * sides[d] < 0:
+        # other. Only pairs with one endpoint on each side can straddle.
+        partners = self._partners
+        for u in left:
+            across = partners[u] & right
+            while across:
+                low = across & -across
+                across ^= low
+                w = low.bit_length() - 1
+                c, d = (u, w) if u < w else (w, u)
                 cx, cy = xs[c], ys[c]
                 cdx, cdy = xs[d] - cx, ys[d] - cy
                 ca = cdx * (ay - cy) - cdy * (ax - cx)

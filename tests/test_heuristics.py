@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+import plane_supports.model as model
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
-                                       _execute_sequence, _union_support, local_search,
-                                       local_search_all, local_search_round,
+                                       _execute_sequence, _star_seed, _union_support,
+                                       local_search, local_search_all, local_search_round,
                                        local_search_seeded,
                                        mst_approximation, mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
@@ -404,6 +405,52 @@ def test_sweep_leaves_out_regimes_the_star_violates():
     assert local_search_all(h, TREE)["pt"] is None
     with pytest.raises(ValueError):
         local_search_all(h, PLANE)
+
+
+def test_star_planarity_is_read_off_the_climb_tables(monkeypatch):
+    # local_search_all decides whether the star seed is plane from the
+    # conflict sets of its climb tables, never through model.is_plane, and
+    # every regime's decision equals satisfies on the star.
+    rng = random.Random(29)
+    cases = [generate(n, k, scheme, random.Random(900 + i))
+             for i, (n, k, scheme) in enumerate(
+                 (n, k, scheme) for n in (5, 12, 24) for k in (2, 4)
+                 for scheme in (DegreeScheme.MID, DegreeScheme.EVEN, DegreeScheme.LOW))]
+    cases += [_grid_instance(rng) for _ in range(12)]
+    # The points and hyperedges of tests/test_exact.py's
+    # test_star_violating_the_regime_falls_back: spokes 0-1 and 0-2 overlap.
+    collinear = hg([(0, 0), (1, 0), (2, 0), (0, 1)], [{0, 1, 2}, {0, 3}])
+    cases.append(collinear)
+    expected = [{c.label: satisfies(star_support(h), h, c) for c in ALL_CONSTRAINTS}
+                for h in cases]
+    assert any(fit["pt"] for fit in expected) and not all(fit["pt"] for fit in expected)
+
+    def forbidden(g, h):
+        raise AssertionError("model.is_plane called")
+
+    monkeypatch.setattr(model, "is_plane", forbidden)
+    for h, fit in zip(cases, expected):
+        fits = _star_seed(h)[2]
+        assert {c.label: fits(c) for c in ALL_CONSTRAINTS} == fit
+        sweep = local_search_all(h)
+        assert {label: rep is not None for label, rep in sweep.items()} == fit
+    for c in (PLANE, PLANE_TREE):
+        with pytest.raises(ValueError):
+            local_search_all(collinear, c)
+    sweep = local_search_all(collinear)
+    assert sweep["p"] is None and sweep["pt"] is None
+
+
+def test_seed_check_sees_crossing_longest_edges():
+    # The seed's two longest edges are equally long and cross. The tables
+    # store pairs up to and including the seed's longest edge, so each one's
+    # conflict set holds the other.
+    h = hg([(0, 0), (2, 2), (0, 2), (2, 0)], [{0, 1, 2, 3}])
+    seed = SupportGraph.from_pairs([(0, 1), (2, 3), (0, 3)])
+    tables = _Tables(h, seed)
+    assert tables.length((0, 1)) == tables.length((2, 3)) > tables.length((0, 3))
+    assert not tables.is_plane(seed.edges)
+    assert tables.is_plane([(0, 1), (0, 3)])
 
 
 def test_local_search_nests_where_single_climbs_invert():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import plane_supports.model as model
-from plane_supports.geom import segments_conflict
+from plane_supports.geom import coords_conflict, segments_conflict
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
                                   PLANE_TREE, SupportGraph, TREE, UNRESTRICTED,
@@ -103,9 +103,9 @@ def test_conflict_pairs_in_row_major_order_and_is_plane_stops_at_first(monkeypat
 
     def counting(s1, s2):
         calls.append((s1, s2))
-        return segments_conflict(s1, s2)
+        return coords_conflict(s1, s2)
 
-    monkeypatch.setattr(model, "segments_conflict", counting)
+    monkeypatch.setattr(model, "coords_conflict", counting)
     h = hg([(0, 0), (2, 2), (0, 2), (2, 0), (5, 0), (6, 0)], [{0, 1, 2, 3, 4, 5}])
     # (0, 1) and (2, 3) cross and come first; (4, 5) is never tested.
     assert not is_plane(SupportGraph.from_pairs([(0, 1), (2, 3), (4, 5)]), h)

@@ -2,13 +2,26 @@
 
 * mst_approximation: union of one EMST per hyperedge.
 * mst_iteration: per-hyperedge trees recomputed with zero weight for edges
-  the rest of the support already pays for.
+  the rest of the support already pays for. Prim builds each hyperedge's
+  EMST once per call; every rebuild is a Kruskal completion over the free
+  edges and that EMST (mst.complete_with_free_edges).
 * local_search: hill climbing, per regime, from the star seed or, where
   that ends longer than a stricter regime's result, from that result, so
   that lengths nest across regimes; per round, every support edge is
   tentatively removed and the cheapest reconnection is searched for; the
   single best swap of the round is committed. local_search_all returns
   every regime's result of the same sweep.
+
+Under the acyclic non-plane regime (t) on a spanning-tree support, each
+tree edge's best swap is kept across rounds. Committing e0 -> r changes the
+cut only of the tree edges on the path between r's ends, e0 among them; any
+other edge keeps its cut, which neither e0 nor r crosses, so its candidate
+pool and answer are unchanged. Those path edges are exactly the entries
+whose stored cut side holds one end of r, and only they are dropped. pt and
+p are not memoised: their answers also depend on the conflict counts. A pt
+memo that also dropped the entries reached by pairs whose count changed was
+tried: on a 2-vCPU VM it ran the n = 200 pt climb 2.2x faster but cost the
+benchmark's ls-plane workload (n = 14) 6-7% CPU per operation.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 from .geom import Segment, SegmentConflicts, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, DisjointSet,
                     Edge, Hypergraph, SupportGraph, satisfies, total_length)
-from .mst import emst, mst_with_free_edges, star_support
+from .mst import complete_with_free_edges, emst, emst_order, star_support
 
 # Gains below this never commit, which keeps termination independent of
 # floating-point noise; replacement members must undercut the removed edge
@@ -60,32 +73,47 @@ def _union_support(trees: dict[int, frozenset[Edge]]) -> SupportGraph:
     return SupportGraph(frozenset(edges))
 
 
-def _execute_sequence(h: Hypergraph, steps, trees=None, built=None) -> dict[int, frozenset[Edge]]:
+def _execute_sequence(h: Hypergraph, steps, trees=None, built=None,
+                      orders=None) -> dict[int, frozenset[Edge]]:
     """Run the given recomputation steps, starting from `trees` (or nothing).
 
     Step s rebuilds tree s with every edge of the *other* trees that lies
     inside hyperedge s available at weight zero. Recomputing an existing tree
-    can only shorten the support (tests check this step by step). If `built`
-    is given, it maps each tree to the free set it was last built with and is
-    kept up to date; a step whose free set is unchanged keeps its tree, since
-    mst_with_free_edges is a pure function of the members and the free set.
+    can only shorten the support (tests check this step by step). The free
+    set comes from a count, per support edge, of the trees that hold it: an
+    edge is free for s when a tree other than s holds it. The tree is
+    mst_with_free_edges' tree, rebuilt by complete_with_free_edges from
+    hyperedge s's EMST in `orders` (a dict by hyperedge, filled here on
+    first use; mst_iteration shares one between calls). If `built` is
+    given, it maps each tree to the free set it was last built with and is
+    kept up to date; a step whose free set is unchanged keeps its tree,
+    since the tree is a pure function of the members and the free set.
     """
     trees = dict(trees) if trees else {}
-    members = [sorted(s) for s in h.hyperedges]
+    if orders is None:
+        orders = {}
+    held: Counter[Edge] = Counter()
+    for t in trees.values():
+        held.update(t)
     for s in steps:
         mset = h.hyperedges[s]
-        free: set[Edge] = set()
-        for s2, t in trees.items():
-            if s2 == s:
-                continue
-            for u, v in t:
-                if u in mset and v in mset:
-                    free.add((u, v))
+        own = trees.get(s, frozenset())
+        free = {e for e, c in held.items()
+                if c > (e in own) and e[0] in mset and e[1] in mset}
         if built is not None:
             if built.get(s) == free:
                 continue
             built[s] = free
-        trees[s] = frozenset(mst_with_free_edges(members[s], free, h).edges)
+        order = orders.get(s)
+        if order is None:
+            order = orders[s] = emst_order(sorted(mset), h)
+        tree = complete_with_free_edges(free, order, h)
+        for e in own - tree:
+            held[e] -= 1
+            if not held[e]:
+                del held[e]
+        held.update(tree - own)
+        trees[s] = tree
     return trees
 
 
@@ -106,6 +134,10 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     recomputation passes run until a pass leaves the edge set unchanged,
     capped at max_passes. Either way the result is never longer than
     mst_approximation's.
+
+    Prim runs once per hyperedge and call, for its EMST; every other tree
+    is completed by Kruskal from that EMST and the free edges (see
+    mst.complete_with_free_edges), which gives the same unique tree.
     """
     k = h.k
     if sequence is not None:
@@ -126,8 +158,9 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
         return SolveReport(support, total_length(support, h), 1)
 
     if k == 2:
-        g_a = _union_support(_execute_sequence(h, [0, 1, 0]))
-        g_b = _union_support(_execute_sequence(h, [1, 0, 1]))
+        orders: dict[int, list[Edge]] = {}  # both orders share the EMSTs
+        g_a = _union_support(_execute_sequence(h, [0, 1, 0], orders=orders))
+        g_b = _union_support(_execute_sequence(h, [1, 0, 1], orders=orders))
         len_a = total_length(g_a, h)
         len_b = total_length(g_b, h)
         support, length = (g_b, len_b) if len_b < len_a - _TIE_EPS else (g_a, len_a)
@@ -136,12 +169,13 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     # k > 2: start from the approximation state so every later step is a
     # pure recomputation, then iterate passes to stability. An EMST is the
     # tree built with no free edges, so `built` starts empty for each tree.
-    trees = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in range(k)}
+    orders = {s: emst_order(sorted(h.hyperedges[s]), h) for s in range(k)}
+    trees = {s: frozenset(orders[s]) for s in range(k)}
     built: dict[int, set[Edge]] = {s: set() for s in range(k)}
     support = _union_support(trees)
     passes = 0
     for _ in range(max_passes):
-        trees = _execute_sequence(h, range(k), trees, built)
+        trees = _execute_sequence(h, range(k), trees, built, orders)
         passes += 1
         before, support = support, _union_support(trees)
         if support == before:
@@ -287,6 +321,9 @@ class _Searcher:
     hyperedge (bridges of its induced subgraph), or from one search of the
     whole support when it is a spanning tree. Under the plane regimes every
     candidate pair keeps a count of the support edges it conflicts with.
+    Under t on a spanning tree, tree_memo keeps each edge's tree swap (see
+    the module docstring); it is emptied whenever the support stops being
+    a tree.
     """
 
     def __init__(self, tables: _Tables, c: ConstraintSet, start_edges,
@@ -308,6 +345,11 @@ class _Searcher:
         # commits that changed an edge inside it.
         self.versions = [0] * h.k
         self.cache: dict[Edge, tuple] = {}
+        # Under the acyclic non-plane regime (t) on a spanning-tree support:
+        # per tree edge, (side, _best_tree_swap's answer), where side is the
+        # bitmask of one side of its cut; see run_round. None elsewhere.
+        self.tree_memo: dict[Edge, tuple] | None = \
+            {} if c.require_acyclic and not c.require_plane else None
         # Depth-first searches of this round, by hyperedge (-1: the whole
         # support); dropped when a commit changes what they searched.
         self._searches: dict[int, tuple] = {}
@@ -323,6 +365,8 @@ class _Searcher:
         # an edge splits it in two, and a single crossing pair is the only
         # replacement that keeps it acyclic.
         self.tree = self.c.require_acyclic and len(self.edges) == self.h.n - 1
+        if not self.tree and self.tree_memo:
+            self.tree_memo.clear()
 
     def current_support(self) -> SupportGraph:
         return SupportGraph(frozenset(self.edges))
@@ -398,10 +442,17 @@ class _Searcher:
         so it is cached and reused while both are unchanged. While no
         hyperedge holding e has changed, the cuts and the crossing pairs in
         the support are known to be unchanged. Under an acyclic regime the
-        answer also depends on the rest of the support, and is not cached.
+        answer also depends on the rest of the support, and is not cached;
+        on a spanning tree under t, tree_memo keeps it instead.
         """
         if self.tree:
-            return self._best_tree_swap(e)
+            memo = self.tree_memo
+            if memo is None:
+                return self._best_tree_swap(e)
+            hit = memo.get(e)
+            if hit is None:
+                hit = memo[e] = (self._side(e, -1, range(self.h.n)), self._best_tree_swap(e))
+            return hit[1]
         t = self.t
         hyps = t.hyps(e)
         versions = tuple(self.versions[s] for s in hyps)
@@ -576,6 +627,13 @@ class _Searcher:
             self._searches.pop(s, None)
         self._searches.pop(-1, None)
         self.cache.pop(best_e, None)
+        if self.tree_memo and len(best_repl) == 1:
+            # Only the cuts of the tree edges on the cycle that r closes
+            # change, best_e's among them: exactly those whose side holds
+            # one end of r.
+            a, b = best_repl[0]
+            self.tree_memo = {f: hit for f, hit in self.tree_memo.items()
+                              if not (hit[0] >> a ^ hit[0] >> b) & 1}
         if self.c.require_plane:
             self.blocked.subtract(self.t.conflicts_of(best_e))
             for r in best_repl:

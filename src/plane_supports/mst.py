@@ -7,6 +7,12 @@ total order on edges, so the minimum spanning tree under it is unique (Prim
 This makes every result reproducible and lets the containment lemma (a
 zero-weight MST is a subset of the free edges and the Euclidean MST) hold
 exactly, not just for instances with unique distances.
+
+Prim builds the EMSTs (mst_with_free_edges with no free edges). Where one
+vertex set is spanned again and again with changing free sets, as in
+heuristics.mst_iteration, complete_with_free_edges rebuilds each tree by
+Kruskal over the free edges and that vertex set's EMST alone, which the
+lemma shows is enough; mst_with_free_edges stays the dense reference.
 """
 
 from __future__ import annotations
@@ -86,6 +92,48 @@ def mst_with_free_edges(ids, free, h: Hypergraph) -> SupportGraph:
 def emst(ids, h: Hypergraph) -> SupportGraph:
     """Euclidean minimum spanning tree of `ids` under the global tie-break."""
     return mst_with_free_edges(ids, (), h)
+
+
+def emst_order(ids, h: Hypergraph) -> list[Edge]:
+    """The EMST edges of `ids` in the shared order, (length, u, v).
+
+    h.edge_length is the hypot of the coordinate differences that Prim
+    compares, so the order is Prim's own.
+    """
+    return [(u, v) for _, u, v in sorted((h.edge_length(u, v), u, v)
+                                         for u, v in emst(ids, h).edges)]
+
+
+def complete_with_free_edges(free, order: list[Edge], h: Hypergraph) -> frozenset[Edge]:
+    """mst_with_free_edges' tree for a vertex set whose EMST emst_order
+    gave as `order`, with `free` (edges (u, v), u < v, inside that set) at
+    weight zero.
+
+    By the containment lemma that tree lies inside free united with the
+    EMST, so Kruskal over those edges alone in the shared order returns it,
+    stopping at m - 1 edges. The free edges, at weight zero, come first by
+    (u, v): vertices have distinct positions, so every EMST edge is longer
+    than zero. An EMST edge that is also free is met first as a free one;
+    its second copy closes a cycle and is skipped.
+    """
+    need = len(order)
+    chosen: list[Edge] = []
+    # A union-find inlined with path halving: DisjointSet's method calls
+    # (it keeps no path compression, for undo) cost a third of this loop.
+    root = list(range(h.n))
+    for u, v in sorted(free) + order:
+        a = u
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        b = v
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            chosen.append((u, v))
+            if len(chosen) == need:
+                break
+    return frozenset(chosen)
 
 
 def star_support(h: Hypergraph) -> SupportGraph:

@@ -14,7 +14,8 @@ from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
                                   Hypergraph, SupportGraph, UNRESTRICTED, satisfies,
                                   total_length)
-from plane_supports.mst import EmptyCoreError, emst, mst_with_free_edges, star_support
+from plane_supports.mst import (EmptyCoreError, complete_with_free_edges, emst, emst_order,
+                                mst_with_free_edges, star_support)
 
 
 def hg(points, hyperedges):
@@ -158,22 +159,32 @@ def test_a_changed_free_set_of_the_same_size_is_rebuilt():
 
 
 def test_iteration_skip_saves_tree_computations(monkeypatch):
-    # Without the skip, k EMSTs and k rebuilds per pass make k * (passes + 1)
-    # calls; on this instance some rebuilds would repeat their free set.
+    # Prim runs once per hyperedge, for its EMST; every rebuild goes through
+    # the Kruskal completion. Without the skip, k rebuilds per pass make
+    # k * passes completions; on this instance some rebuilds would repeat
+    # their free set.
     import plane_supports.heuristics as heuristics
-    import plane_supports.mst as mst
-    calls = []
+    completions, orders = [], []
 
-    def counting(ids, free, h):
-        calls.append(ids)
-        return mst_with_free_edges(ids, free, h)
+    def counting_completion(free, order, h):
+        completions.append(order)
+        return complete_with_free_edges(free, order, h)
 
-    monkeypatch.setattr(mst, "mst_with_free_edges", counting)
-    monkeypatch.setattr(heuristics, "mst_with_free_edges", counting)
+    def counting_order(ids, h):
+        orders.append(ids)
+        return emst_order(ids, h)
+
+    monkeypatch.setattr(heuristics, "complete_with_free_edges", counting_completion)
+    monkeypatch.setattr(heuristics, "emst_order", counting_order)
     h = generate(20, 4, DegreeScheme.MID, random.Random(7))
     rep = mst_iteration(h)
-    assert len(calls) < h.k * (rep.rounds_or_passes + 1)
+    assert len(orders) == h.k
+    assert 0 < len(completions) < h.k * rep.rounds_or_passes
     assert rep.support == _rebuild_every_tree_every_pass(h)[0]
+    # The k = 2 orders <0,1,0> and <1,0,1> share one EMST per hyperedge.
+    orders.clear()
+    mst_iteration(generate(20, 2, DegreeScheme.MID, random.Random(7)))
+    assert len(orders) == 2
 
 
 def test_recomputing_a_tree_never_lengthens_the_support():
@@ -283,13 +294,20 @@ def test_local_search_on_already_optimal_seed_commits_zero_rounds():
 
 
 def test_swap_cache_equals_fresh_computation():
-    # A climb keeps per-edge swap results and conflict counts across rounds;
-    # replaying each round with a fresh searcher must give the same support
-    # in every regime.
-    for n, k, seed in [(18, 3, s) for s in range(10)] + [(14, 4, s) for s in range(10)]:
-        h = generate(n, k, DegreeScheme.MID, random.Random(seed))
+    # A climb keeps per-edge swap results, tree-swap memo entries and
+    # conflict counts across rounds; replaying each round with a fresh
+    # searcher must give the same support in every regime. The grids have
+    # many equal lengths, and at n = 30-40 memo entries survive many rounds.
+    rng = random.Random(53)
+    pool = [generate(n, k, DegreeScheme.MID, random.Random(seed))
+            for n, k, seed in [(18, 3, s) for s in range(10)] + [(14, 4, s) for s in range(10)]
+            + [(30, 3, 0), (34, 4, 1), (40, 3, 2)]]
+    pool += [_grid_instance(rng) for _ in range(8)]
+    for i, h in enumerate(pool):
         star = star_support(h)
         for c in ALL_CONSTRAINTS:
+            if not satisfies(star, h, c):
+                continue  # a collinear grid star
             cached = local_search_seeded(h, star, c)
             g = star
             rounds = 0
@@ -298,8 +316,33 @@ def test_swap_cache_equals_fresh_computation():
                 if not improved:
                     break
                 rounds += 1
-            assert g == cached.support, (n, k, seed, c.label)
-            assert rounds == cached.rounds_or_passes, (n, k, seed, c.label)
+            assert g == cached.support, (i, c.label)
+            assert rounds == cached.rounds_or_passes, (i, c.label)
+
+
+def test_tree_swap_memo_saves_evaluations(monkeypatch):
+    # Under t on a spanning tree, a commit changes only the answers of the
+    # tree edges on the cycle the replacement closes, so a climb evaluates
+    # far fewer tree swaps than rounds times tree edges; pt, which is not
+    # memoised, evaluates more.
+    calls = []
+    fresh = _Searcher._best_tree_swap
+
+    def counting(self, e):
+        calls.append(e)
+        return fresh(self, e)
+
+    monkeypatch.setattr(_Searcher, "_best_tree_swap", counting)
+    h = generate(40, 4, DegreeScheme.MID, random.Random(1))
+    star = star_support(h)
+    evaluated, rounds = {}, {}
+    for c in (TREE, PLANE_TREE):
+        calls.clear()
+        rounds[c.label] = local_search_seeded(h, star, c).rounds_or_passes
+        evaluated[c.label] = len(calls)
+    assert rounds["t"] > 10
+    assert evaluated["t"] < rounds["t"] * (h.n - 1) / 4
+    assert evaluated["t"] < evaluated["pt"]
 
 
 def _grid_instance(rng):

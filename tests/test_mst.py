@@ -6,7 +6,13 @@ import pytest
 
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.model import DisjointSet, Hypergraph, SupportGraph, edge_key, total_length
-from plane_supports.mst import EmptyCoreError, emst, mst_with_free_edges, star_support
+from plane_supports.mst import (EmptyCoreError, complete_with_free_edges, emst, emst_order,
+                                mst_with_free_edges, star_support)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property test below needs it
+    st = None
 
 
 def hg(points, hyperedges):
@@ -149,6 +155,31 @@ def test_free_edge_mst_equals_kruskal_oracle():
     for h, ids, free in _oracle_cases(1500):
         assert mst_with_free_edges(ids, free, h).edges == kruskal_oracle(ids, free, h), \
             (h.vertices, ids, free)
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_kruskal_completion_equals_dense_prim():
+    # complete_with_free_edges works from the EMST alone; under the strict
+    # order the tree is unique, so it must equal the dense Prim exactly.
+    # Integer grids give many equal lengths, so the tie-breaks decide.
+    floats = st.floats(0, 100, allow_nan=False)
+    grid = st.integers(0, 5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        coord = grid if data.draw(st.booleans()) else floats
+        pts = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=18,
+                                 unique=True))
+        n = len(pts)
+        ids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+        free = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        h = Hypergraph.build(pts, [set(range(n))])
+        assert complete_with_free_edges(free, emst_order(ids, h), h) == \
+            mst_with_free_edges(ids, free, h).edges
+
+    check()
 
 
 def test_star_support_examples():

@@ -12,24 +12,37 @@
   single best swap of the round is committed. local_search_all returns
   every regime's result of the same sweep.
 
-Under the acyclic non-plane regime (t) on a spanning-tree support, each
-tree edge's best swap is kept across rounds. Committing e0 -> r changes the
-cut only of the tree edges on the path between r's ends, e0 among them; any
-other edge keeps its cut, which neither e0 nor r crosses, so its candidate
-pool and answer are unchanged. Those path edges are exactly the entries
-whose stored cut side holds one end of r, and only they are dropped. pt and
-p are not memoised: their answers also depend on the conflict counts. A pt
-memo that also dropped the entries reached by pairs whose count changed was
-tried: on a 2-vCPU VM it ran the n = 200 pt climb 2.2x faster but cost the
-benchmark's ls-plane workload (n = 14) 6-7% CPU per operation.
+Local search works on candidate pairs numbered by rank in (length, u, v)
+order, with sets of pairs as Python-int bitmasks over those numbers (see
+_Tables). A cut's crossing pairs are the XOR of the incident-pair masks of
+the vertices on its smaller side, masked to the hyperedge and to the
+pairs shorter than the removed edge; availability under the plane regimes
+is a mask expression over the pairs that 0 or 1 support edges conflict
+with. Set bits are walked in ascending order, which is (length, u, v)
+order, so every tie resolves as in a scan of sorted candidate lists. On a
+spanning-tree support (t and pt), the tree is kept rooted at vertex 0 with
+subtree masks and re-rooted along one path per commit, instead of searched
+afresh every round.
+
+Under t on a spanning-tree support, each tree edge's best swap is also
+kept across rounds. Committing e0 -> r changes the cut only of the tree
+edges on the path between r's ends, e0 among them; any other edge keeps
+its cut, which neither e0 nor r crosses, so its candidate pool and answer
+are unchanged. Those path edges are exactly the entries whose stored cut
+side holds one end of r, and only they are dropped. pt and p are not
+memoised: their answers also depend on the conflict counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count
+from operator import and_
 
-from .geom import Segment, SegmentConflicts, segments_conflict
+from .geom import SegmentConflicts, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, DisjointSet,
                     Edge, Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import complete_with_free_edges, emst, emst_order, star_support
@@ -183,92 +196,132 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     return SolveReport(support, total_length(support, h), passes)
 
 
+def _mask(ids, size: int) -> int:
+    """The bitmask of the indices `ids`, each below `size`. The bits go into
+    a bytearray that is converted once, so the build is linear in size."""
+    buf = bytearray((size >> 3) + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _Tables:
     """Regime-independent data of one hypergraph, shared by every climb of a
-    local_search call: candidate pairs per hyperedge, edge lengths, which
-    hyperedges hold each pair, and segment conflicts."""
+    local_search call.
+
+    Each candidate pair (two vertices of one hyperedge) has an index, its
+    rank in (length, u, v) order: pairs[i], plen[i] and held[i], the bitmask
+    of the hyperedges holding it. Sets of pairs are Python-int bitmasks over
+    these indices, so ascending bits are ascending (length, u, v):
+    within[s] holds hyperedge s's pairs and incident[v] the pairs ending at
+    v. A pair of a caller's seed that no hyperedge holds is indexed after
+    every candidate on first use and lies in no mask. conflicts_of(x)
+    gives the stored pairs whose segments conflict with edge x.
+    """
 
     def __init__(self, h: Hypergraph, seed: SupportGraph):
         self.h = h
-        # Per-hyperedge candidate pairs sorted by (length, u, v), and for
-        # each pair the bitmask of hyperedges holding both its ends.
-        self.elen: dict[Edge, float] = {}
-        self.hmask: dict[Edge, int] = {}
-        self.cands: list[list[tuple[float, int, int]]] = []
+        held: dict[Edge, int] = {}
         for s, members in enumerate(h.hyperedges):
             mem = sorted(members)
             bit = 1 << s
-            lst = []
             for i, a in enumerate(mem):
                 for b in mem[i + 1:]:
-                    e = (a, b)
-                    w = self.elen.get(e)
-                    if w is None:
-                        w = h.edge_length(a, b)
-                        self.elen[e] = w
-                        self.hmask[e] = bit
-                    else:
-                        self.hmask[e] |= bit
-                    lst.append((w, a, b))
-            lst.sort()
-            self.cands.append(lst)
-        self._hyps: dict[Edge, tuple[int, ...]] = {}
-        self._segments: dict[Edge, Segment] = {}
+                    held[a, b] = held.get((a, b), 0) | bit
+        ranked = sorted((h.edge_length(a, b), a, b) for a, b in held)
+        self.plen: list[float] = [w for w, _, _ in ranked]
+        self.pairs: list[Edge] = [(a, b) for _, a, b in ranked]
+        self.held: list[int] = list(map(held.get, self.pairs))
+        self.index: dict[Edge, int] = dict(zip(self.pairs, count()))
+        self.ncand = size = len(self.pairs)
+        # One pass sets each pair's bit in the bytes of its two ends.
+        by_vertex = [bytearray((size >> 3) + 1) for _ in range(h.n)]
+        for i, (a, b) in enumerate(self.pairs):
+            byte, bit = i >> 3, 1 << (i & 7)
+            by_vertex[a][byte] |= bit
+            by_vertex[b][byte] |= bit
+        self.incident = [int.from_bytes(buf, "little") for buf in by_vertex]
+        # A hyperedge's pairs are those touching it but not exactly once.
+        self.within = []
+        for members in h.hyperedges:
+            touch = once = 0
+            for v in members:
+                touch |= self.incident[v]
+                once ^= self.incident[v]
+            self.within.append(touch & ~once)
+        # By `held` value: its hyperedges, and the pairs that lie in all.
+        self.split = {m: tuple(s for s in range(h.k) if m >> s & 1) for m in set(self.held)}
+        self.common = {m: reduce(and_, [self.within[s] for s in hs])
+                       for m, hs in self.split.items()}
+        self.split[0] = ()
+        self.members = [_mask(m, h.n) for m in h.hyperedges]  # vertex bitmasks
         self._pair_conflicts: dict[tuple[Edge, Edge], bool] = {}
-        self._conflicts: dict[Edge, frozenset[Edge]] = {}
+        self._conflicts: dict[Edge, tuple[int, tuple[int, ...]]] = {}
         # A replacement pair is strictly shorter than the edge it replaces,
         # so no climb from `seed`, or from a support climbed from it, ever
         # adds a pair longer than seed's longest edge: conflicts_of leaves
         # such pairs out. It keeps the pairs exactly as long, which no climb
         # adds either, so that is_plane can decide the seed's own planarity
         # from the same sets (two equally long longest edges may cross).
-        self._longest = max((self.length(e) for e in seed.edges), default=0.0)
+        # The stored pairs are the first `stored` candidates.
+        longest = max((self.length(e) for e in seed.edges), default=0.0)
+        self.stored = bisect_right(self.plen, longest, 0, size)
         self._bulk = None
 
+    def index_of(self, e: Edge) -> int:
+        i = self.index.get(e)
+        if i is None:  # a pair of a caller's seed that no hyperedge holds
+            i = self.index[e] = len(self.pairs)
+            self.pairs.append(e)
+            self.plen.append(self.h.edge_length(*e))
+            self.held.append(0)
+        return i
+
     def length(self, e: Edge) -> float:
-        w = self.elen.get(e)
-        if w is None:  # an edge of a caller's seed that no hyperedge holds
-            w = self.elen[e] = self.h.edge_length(*e)
-        return w
+        return self.plen[self.index_of(e)]
 
     def hyps(self, e: Edge) -> tuple[int, ...]:
-        out = self._hyps.get(e)
-        if out is None:
-            mask = self.hmask.get(e, 0)
-            out = self._hyps[e] = tuple(s for s in range(self.h.k) if mask >> s & 1)
-        return out
+        return self.split[self.held[self.index_of(e)]]
 
-    def segment(self, e: Edge) -> Segment:
-        seg = self._segments.get(e)
-        if seg is None:
-            seg = self._segments[e] = self.h.segment(*e)
-        return seg
+    def crossing(self, side: int, members: int, within: int, w: float) -> int:
+        """The pairs of `within`, pairs inside the vertex bitmask `members`,
+        shorter than w - _STRICT_EPS and with exactly one end in `side`."""
+        rest = members ^ side
+        if rest.bit_count() < side.bit_count():
+            side = rest
+        out = 0
+        while side:
+            low = side & -side
+            out ^= self.incident[low.bit_length() - 1]
+            side ^= low
+        return out & within & (1 << bisect_left(self.plen, w - _STRICT_EPS, 0, self.ncand)) - 1
 
     def conflict(self, e1: Edge, e2: Edge) -> bool:
         key = (e1, e2) if e1 <= e2 else (e2, e1)
         hit = self._pair_conflicts.get(key)
         if hit is None:
-            hit = self._pair_conflicts[key] = segments_conflict(self.segment(e1),
-                                                                self.segment(e2))
+            hit = self._pair_conflicts[key] = segments_conflict(self.h.segment(*e1),
+                                                                self.h.segment(*e2))
         return hit
 
-    def conflicts_of(self, x: Edge) -> frozenset[Edge]:
-        """Every candidate pair no longer than the seed's longest edge whose
-        segment conflicts with edge x."""
+    def conflicts_of(self, x: Edge) -> tuple[int, tuple[int, ...]]:
+        """The stored pairs whose segments conflict with edge x, as a
+        bitmask and as a tuple of indices."""
         out = self._conflicts.get(x)
         if out is None:
             if self._bulk is None:
-                self._bulk = SegmentConflicts(
-                    self.h.vertices, [e for e, w in self.elen.items() if w <= self._longest])
-            out = self._conflicts[x] = frozenset(self._bulk.conflicting(*x))
+                self._bulk = SegmentConflicts(self.h.vertices, self.pairs[:self.stored])
+            ids = tuple(map(self.index.__getitem__, self._bulk.conflicting(*x)))
+            out = self._conflicts[x] = (_mask(ids, self.stored), ids)
         return out
 
     def is_plane(self, edges) -> bool:
         """model.is_plane's answer for `edges`, candidate pairs no longer
         than the seed's longest edge (the seed's own edges, for instance):
         no edge's conflicts_of set holds another of them."""
-        edges = set(edges)
-        return all(self.conflicts_of(e) & edges <= {e} for e in edges)
+        ids = {e: self.index_of(e) for e in edges}
+        mask = _mask(ids.values(), len(self.pairs))
+        return all(self.conflicts_of(e)[0] & mask & ~(1 << i) == 0 for e, i in ids.items())
 
 
 def _depth_first(adj: dict[int, set[int]], members) -> tuple:
@@ -317,13 +370,16 @@ def _depth_first(adj: dict[int, set[int]], members) -> tuple:
 class _Searcher:
     """Mutable local-search state shared across rounds of one climb.
 
-    Per round the removal cuts come from one depth-first search per
-    hyperedge (bridges of its induced subgraph), or from one search of the
-    whole support when it is a spanning tree. Under the plane regimes every
-    candidate pair keeps a count of the support edges it conflicts with.
-    Under t on a spanning tree, tree_memo keeps each edge's tree swap (see
-    the module docstring); it is emptied whenever the support stops being
-    a tree.
+    Under the plane regimes blocked[i] counts the support edges that
+    conflict with stored pair i, and the bitmasks zero and one hold the
+    pairs counted 0 and 1 times. Off a spanning tree, removal cuts come from
+    one depth-first search per hyperedge (bridges of its induced subgraph).
+    On a spanning tree, parent and sub keep the tree rooted at vertex 0
+    (sub[v]: the vertex bitmask of v's subtree, the side that removing v's
+    parent edge cuts off); they are built when the support becomes a tree,
+    updated by every commit and dropped when it stops being one. Under t on
+    a spanning tree, tree_memo keeps each edge's tree swap (see the module
+    docstring); it is emptied whenever the support stops being a tree.
     """
 
     def __init__(self, tables: _Tables, c: ConstraintSet, start_edges,
@@ -338,7 +394,7 @@ class _Searcher:
             u, v = e
             self.adj[u].add(v)
             self.adj[v].add(u)
-            tables.length(e)
+            tables.index_of(e)
         # Per support edge: (versions of its hyperedges, broken cuts,
         # crossing pairs, available pairs, swap result) of its last
         # evaluation; see _best_swap. A hyperedge's version counts the
@@ -350,34 +406,53 @@ class _Searcher:
         # bitmask of one side of its cut; see run_round. None elsewhere.
         self.tree_memo: dict[Edge, tuple] | None = \
             {} if c.require_acyclic and not c.require_plane else None
-        # Depth-first searches of this round, by hyperedge (-1: the whole
-        # support); dropped when a commit changes what they searched.
+        # Depth-first searches of this round, by hyperedge; dropped when a
+        # commit changes what they searched.
         self._searches: dict[int, tuple] = {}
-        # blocked[p]: how many support edges conflict with pair p.
-        self.blocked: Counter[Edge] = Counter()
         if c.require_plane:
-            for x in self.edges:
-                self.blocked.update(tables.conflicts_of(x))
+            nbytes = (tables.stored >> 3) + 1
+            self.blocked = [0] * tables.stored
+            self._zero, self._one = bytearray(b"\xff") * nbytes, bytearray(nbytes)
+            self._block(self.edges, 1)
+        self.parent = self.sub = None
         self._note_shape()
+
+    def _block(self, edges, step: int) -> None:
+        """Add step to the blocked counts of the pairs conflicting with each
+        of `edges`, then rebuild zero and one from their bytes."""
+        blocked, zero, one = self.blocked, self._zero, self._one
+        for x in edges:
+            for i in self.t.conflicts_of(x)[1]:
+                count = blocked[i] = blocked[i] + step
+                byte, bit = i >> 3, 1 << (i & 7)
+                zero[byte] = zero[byte] | bit if count == 0 else zero[byte] & ~bit
+                one[byte] = one[byte] | bit if count == 1 else one[byte] & ~bit
+        self.zero = int.from_bytes(zero, "little")
+        self.one = int.from_bytes(one, "little")
 
     def _note_shape(self) -> None:
         # An acyclic support with n - 1 edges is a spanning tree: removing
         # an edge splits it in two, and a single crossing pair is the only
         # replacement that keeps it acyclic.
         self.tree = self.c.require_acyclic and len(self.edges) == self.h.n - 1
-        if not self.tree and self.tree_memo:
-            self.tree_memo.clear()
+        if not self.tree:
+            self.parent = self.sub = None
+            if self.tree_memo:
+                self.tree_memo.clear()
+        elif self.parent is None:
+            pos, end, self.parent, _, prefix = _depth_first(self.adj, range(self.h.n))
+            self.sub = [prefix[end[v]] ^ prefix[pos[v]] for v in range(self.h.n)]
 
     def current_support(self) -> SupportGraph:
         return SupportGraph(frozenset(self.edges))
 
-    def _side(self, e: Edge, key: int, members):
-        """Bitmask of the vertices cut off from the rest of `members` when e
-        is removed from the subgraph they induce; None if e is not a bridge
+    def _side(self, e: Edge, s: int):
+        """Bitmask of the vertices cut off from the rest of hyperedge s when
+        e is removed from the subgraph it induces; None if e is not a bridge
         there."""
-        search = self._searches.get(key)
+        search = self._searches.get(s)
         if search is None:
-            search = self._searches[key] = _depth_first(self.adj, members)
+            search = self._searches[s] = _depth_first(self.adj, self.h.hyperedges[s])
         pos, end, parent, low, prefix = search
         u, v = e
         if parent[v] == u:
@@ -390,6 +465,35 @@ class _Searcher:
             return None
         return prefix[end[child]] ^ prefix[pos[child]]
 
+    def _tree_side(self, e: Edge) -> int:
+        """On a spanning tree, the vertices that removing e cuts off from
+        vertex 0: the subtree below e."""
+        u, v = e
+        return self.sub[v] if self.parent[v] == u else self.sub[u]
+
+    def _reroot(self, e0: Edge, r: Edge) -> None:
+        """Update parent and sub for the commit e0 -> r: the subtree below
+        e0 leaves its ancestors and, re-rooted at r's end in it, joins the
+        ancestors of r's other end."""
+        parent, sub = self.parent, self.sub
+        u, v = e0
+        top = v if parent[v] == u else u
+        cut = sub[top]
+        a, b = r if cut >> r[0] & 1 else r[::-1]
+        for y in (parent[top], b):  # the old and the new ancestors
+            while y >= 0:
+                sub[y] ^= cut
+                y = parent[y]
+        # Along the path a .. top, each vertex's new subtree is the cut
+        # less its old child's subtree on the way to a.
+        x, up, below = a, b, 0
+        while True:
+            nxt, old = parent[x], sub[x]
+            parent[x], sub[x] = up, cut ^ below
+            if x == top:
+                break
+            x, up, below = nxt, x, old
+
     def _best_tree_swap(self, e: Edge):
         """_best_swap for a spanning-tree support under an acyclic regime.
 
@@ -398,33 +502,26 @@ class _Searcher:
         wins, ties within _TIE_EPS going to the smaller pair.
         """
         t = self.t
-        len_e = t.elen[e]
-        emask = t.hmask.get(e, 0)
-        if not emask:
+        i = t.index[e]
+        len_e = t.plen[i]
+        held = t.held[i]
+        if not held:
             return (len_e, ())
         if self.max_replacement is not None and self.max_replacement < 1:
             return None
-        side = self._side(e, -1, range(self.h.n))
-        plane = self.c.require_plane
-        if plane:
-            blocked, conf_e = self.blocked, t.conflicts_of(e)
-        hmask = t.hmask
-        edges_now = self.edges
-        limit = len_e - _STRICT_EPS
+        pool = t.crossing(self._tree_side(e), (1 << self.h.n) - 1, t.common[held], len_e)
+        if self.c.require_plane:
+            pool &= self.zero | self.one & t.conflicts_of(e)[0]
+        plen, pairs = t.plen, t.pairs
         best_w = best = None
-        for w, a, b in t.cands[(emask & -emask).bit_length() - 1]:
-            if w >= limit or (best_w is not None and w > best_w + _TIE_EPS):
+        while pool:  # lowest bit first: ascending (length, u, v)
+            low = pool & -pool
+            j = low.bit_length() - 1
+            if best is not None and plen[j] > best_w + _TIE_EPS:
                 break
-            if (side >> a ^ side >> b) & 1 == 0:
-                continue
-            ed = (a, b)
-            if hmask[ed] & emask != emask or ed in edges_now:
-                continue
-            if plane and blocked.get(ed, 0) != (ed in conf_e):
-                continue
-            if (best_w is None or w < best_w - _TIE_EPS
-                    or (abs(w - best_w) <= _TIE_EPS and ed < best)):
-                best_w, best = w, ed
+            if best is None or pairs[j] < best:
+                best_w, best = plen[j], pairs[j]
+            pool ^= low
         if best is None:
             return None
         return (len_e - best_w, (best,))
@@ -451,10 +548,9 @@ class _Searcher:
                 return self._best_tree_swap(e)
             hit = memo.get(e)
             if hit is None:
-                hit = memo[e] = (self._side(e, -1, range(self.h.n)), self._best_tree_swap(e))
+                hit = memo[e] = (self._tree_side(e), self._best_tree_swap(e))
             return hit[1]
-        t = self.t
-        hyps = t.hyps(e)
+        hyps = self.t.hyps(e)
         versions = tuple(self.versions[s] for s in hyps)
         hit = self.cache.get(e)
         if hit is not None and hit[0] == versions:
@@ -467,11 +563,11 @@ class _Searcher:
         else:
             broken = []
             for s in hyps:
-                side = self._side(e, s, t.h.hyperedges[s])
+                side = self._side(e, s)
                 if side is not None:
                     broken.append((s, side))
             if not broken:
-                return (t.elen[e], ())
+                return (self.t.length(e), ())
             if hit is not None and hit[1] == broken:
                 crossing = hit[2]  # the same cuts cross the same pairs
                 now = self._available(e, crossing)
@@ -479,60 +575,36 @@ class _Searcher:
                     self.cache[e] = (versions,) + hit[1:]
                     return hit[4]
             else:
-                crossing = self._crossing(e, broken)
+                t, w = self.t, self.t.length(e)
+                crossing = [t.crossing(side, t.members[s], t.within[s], w) for s, side in broken]
                 now = self._available(e, crossing)
-        res = self._cover(e, len(broken), crossing, now)
+        res = self._cover(e, crossing, now)
         if not self.c.require_acyclic:
             self.cache[e] = (versions, broken, crossing, now, res)
         return res
 
-    def _crossing(self, e: Edge, broken) -> dict[Edge, int]:
-        """Candidate pairs strictly shorter than e that cross the cut of a
-        broken hyperedge, support edges included, each with the mask of the
-        broken hyperedges (by position in `broken`) whose cut it crosses."""
-        cands = self.t.cands
-        limit = self.t.elen[e] - _STRICT_EPS
-        masks: dict[Edge, int] = {}
-        for bit, (s, side) in enumerate(broken):
-            for w, a, b in cands[s]:
-                if w >= limit:
-                    break
-                if (side >> a ^ side >> b) & 1:
-                    ed = (a, b)
-                    masks[ed] = masks.get(ed, 0) | 1 << bit
-        return masks
+    def _available(self, e: Edge, crossing) -> int:
+        """The crossing pairs that, under the plane regimes, conflict with no
+        support edge but e, as a bitmask. No crossing pair is in the support:
+        e is a bridge of each broken hyperedge, so no other support edge
+        inside it crosses its cut."""
+        pool = 0
+        for x in crossing:
+            pool |= x
+        if self.c.require_plane:
+            pool &= self.zero | self.one & self.t.conflicts_of(e)[0]
+        return pool
 
-    def _available(self, e: Edge, crossing) -> frozenset[Edge]:
-        """The crossing pairs not in the support and, under the plane
-        regimes, in conflict with no support edge but e."""
-        edges_now = self.edges
-        if not self.c.require_plane:
-            return frozenset(ed for ed in crossing if ed not in edges_now)
-        blocked = self.blocked
-        conf_e = self.t.conflicts_of(e)
-        return frozenset(ed for ed in crossing
-                         if ed not in edges_now and blocked.get(ed, 0) == (ed in conf_e))
-
-    def _cover(self, e: Edge, nb: int, crossing: dict[Edge, int], available):
+    def _cover(self, e: Edge, crossing: list[int], available: int):
         """The cheapest set of at most max_replacement available pairs that
         crosses every broken hyperedge's cut, as (gain, replacement)."""
-        full_mask = (1 << nb) - 1
-        covered = 0
-        for ed in available:
-            covered |= crossing[ed]
-        if covered != full_mask:
+        pools = [x & available for x in crossing]  # by broken cut
+        if not all(pools):
             return None
-
-        elen = self.t.elen
-        len_e = elen[e]
-        order = sorted(available, key=lambda ed: (elen[ed], ed))
-        per_bit: list[list[Edge]] = [[] for _ in range(nb)]
-        for ed in order:
-            mk = crossing[ed]
-            for bit in range(nb):
-                if mk >> bit & 1:
-                    per_bit[bit].append(ed)
-
+        nb = len(pools)
+        t = self.t
+        plen, pairs = t.plen, t.pairs
+        len_e = t.length(e)
         dsu = None
         if self.c.require_acyclic:
             dsu = DisjointSet(self.h.n)
@@ -545,7 +617,7 @@ class _Searcher:
         best_repl = None
         chosen: list[Edge] = []
         plane = self.c.require_plane
-        conflict = self.t.conflict
+        conflict = t.conflict
 
         def dfs(uncovered: int, total: float) -> None:
             nonlocal best_total, best_repl
@@ -558,12 +630,17 @@ class _Searcher:
             if len(chosen) >= cap:
                 return
             bit = (uncovered & -uncovered).bit_length() - 1
-            for ed in per_bit[bit]:
-                t2 = total + elen[ed]
+            pool = pools[bit]
+            while pool:  # lowest bit first: ascending (length, u, v)
+                low = pool & -pool
+                pool ^= low
+                j = low.bit_length() - 1
+                t2 = total + plen[j]
                 if t2 >= len_e - _STRICT_EPS:
                     break
                 if best_total is not None and t2 > best_total + _TIE_EPS:
                     break
+                ed = pairs[j]
                 if ed in chosen:
                     continue
                 if plane and any(conflict(ed, c2) for c2 in chosen):
@@ -574,12 +651,16 @@ class _Searcher:
                     if token is None:
                         continue  # ed would close a cycle
                 chosen.append(ed)
-                dfs(uncovered & ~crossing[ed], t2)
+                rest = uncovered ^ 1 << bit  # less the other cuts that ed crosses
+                for b in range(bit + 1, nb):
+                    if pools[b] & low:
+                        rest &= ~(1 << b)
+                dfs(rest, t2)
                 chosen.pop()
                 if token is not None:
                     dsu.undo(token)
 
-        dfs(full_mask, 0.0)
+        dfs((1 << nb) - 1, 0.0)
         if best_total is None:
             return None
         return (len_e - best_total, best_repl)
@@ -592,13 +673,14 @@ class _Searcher:
         can never gain more than the removed edge's length). Returns False
         and leaves the support untouched when no swap strictly improves it.
         """
-        elen = self.t.elen
-        order = sorted(self.edges, key=lambda ed: (-elen[ed], ed))
+        t = self.t
+        plen, index = t.plen, t.index
+        order = sorted(self.edges, key=lambda ed: (-plen[index[ed]], ed))
         best_gain = None
         best_e = None
         best_repl = None
         for e in order:
-            if best_gain is not None and elen[e] < best_gain - _TIE_EPS:
+            if best_gain is not None and plen[index[e]] < best_gain - _TIE_EPS:
                 break
             res = self._best_swap(e)
             if res is None:
@@ -616,17 +698,18 @@ class _Searcher:
         self.edges.remove(best_e)
         self.adj[best_e[0]].discard(best_e[1])
         self.adj[best_e[1]].discard(best_e[0])
-        touched = set(self.t.hyps(best_e))
+        touched = set(t.hyps(best_e))
         for r in best_repl:
             self.edges.add(r)
             self.adj[r[0]].add(r[1])
             self.adj[r[1]].add(r[0])
-            touched.update(self.t.hyps(r))
+            touched.update(t.hyps(r))
         for s in touched:
             self.versions[s] += 1
             self._searches.pop(s, None)
-        self._searches.pop(-1, None)
         self.cache.pop(best_e, None)
+        if self.tree and len(best_repl) == 1:
+            self._reroot(best_e, best_repl[0])
         if self.tree_memo and len(best_repl) == 1:
             # Only the cuts of the tree edges on the cycle that r closes
             # change, best_e's among them: exactly those whose side holds
@@ -635,9 +718,8 @@ class _Searcher:
             self.tree_memo = {f: hit for f, hit in self.tree_memo.items()
                               if not (hit[0] >> a ^ hit[0] >> b) & 1}
         if self.c.require_plane:
-            self.blocked.subtract(self.t.conflicts_of(best_e))
-            for r in best_repl:
-                self.blocked.update(self.t.conflicts_of(r))
+            self._block([best_e], -1)
+            self._block(best_repl, 1)
         self._note_shape()
         return True
 

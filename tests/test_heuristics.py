@@ -1,21 +1,28 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import plane_supports.model as model
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
-from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables,
+from plane_supports.geom import segments_conflict
+from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables, _depth_first,
                                        _execute_sequence, _star_seed, _union_support,
                                        local_search, local_search_all, local_search_round,
                                        local_search_seeded,
                                        mst_approximation, mst_iteration)
 from plane_supports.model import (ALL_CONSTRAINTS, PLANE, PLANE_TREE, TREE, ConstraintSet,
-                                  Hypergraph, SupportGraph, UNRESTRICTED, satisfies,
-                                  total_length)
+                                  DisjointSet, Hypergraph, SupportGraph, UNRESTRICTED,
+                                  satisfies, total_length)
 from plane_supports.mst import (EmptyCoreError, complete_with_free_edges, emst, emst_order,
                                 mst_with_free_edges, star_support)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property test of the kept tree needs it
+    st = None
 
 
 def hg(points, hyperedges):
@@ -525,3 +532,211 @@ def test_local_search_goes_by_the_regime_not_the_constraint_object():
         foreign = other(c.require_plane, c.require_acyclic)
         assert foreign != c
         assert local_search(h, foreign).support == local_search(h, c).support
+
+
+def _replay(h, g, c):
+    """The support and rounds of climbing from g one fresh round at a time."""
+    rounds = 0
+    while True:
+        g, improved = local_search_round(h, g, c)
+        if not improved:
+            return g, rounds
+        rounds += 1
+
+
+def _bridged_instance(seed):
+    # Two groups of two overlapping hyperedges, far apart, each spanned by
+    # the star of its shared vertex; the shortest pair between the groups
+    # that keeps the seed a plane tree lies in no hyperedge.
+    rng = random.Random(seed)
+    pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(7)]
+    pts += [(rng.uniform(20, 30), rng.uniform(0, 10)) for _ in range(7)]
+    hyperedges = []
+    for c, rest in ((0, list(range(1, 7))), (7, list(range(8, 14)))):
+        rng.shuffle(rest)
+        hyperedges += [{c, *rest[:4]}, {c, *rest[2:]}]
+    h = hg(pts, hyperedges)
+    stars = [(0, v) for v in range(1, 7)] + [(7, v) for v in range(8, 14)]
+    for pair in sorted(((a, b) for a in range(7) for b in range(7, 14)),
+                       key=lambda e: h.edge_length(*e)):
+        seed = SupportGraph.from_pairs(stars + [pair])
+        if satisfies(seed, h, PLANE_TREE):
+            return h, seed, pair
+    raise AssertionError("no plane bridge")
+
+
+def test_seed_pair_outside_every_hyperedge():
+    # A seed pair that no hyperedge holds is indexed after every candidate
+    # and lies in no mask; climbs from such a seed, the plane ones with
+    # conflict counts for it, equal the round-by-round replay.
+    for seed in range(6):
+        h, g0, pair = _bridged_instance(seed)
+        tables = _Tables(h, g0)
+        i = tables.index_of(pair)
+        assert i >= tables.ncand and tables.pairs[i] == pair
+        assert not any(m >> i & 1 for m in tables.within + tables.incident)
+        for c in ALL_CONSTRAINTS:
+            rep = local_search_seeded(h, g0, c)
+            assert pair not in rep.support.edges
+            assert (rep.support, rep.rounds_or_passes) == _replay(h, g0, c), (seed, c.label)
+
+
+def _list_crossing(tables, e, broken):
+    """Pair -> bitmask of the broken cuts (by position) it crosses: a scan
+    of each broken hyperedge's candidates sorted by (length, u, v)."""
+    limit = tables.length(e) - 1e-12
+    out = {}
+    for bit, (s, side) in enumerate(broken):
+        mem = sorted(tables.h.hyperedges[s])
+        pairs = sorted((tables.h.edge_length(a, b), a, b)
+                       for i, a in enumerate(mem) for b in mem[i + 1:])
+        for w, a, b in pairs:
+            if w >= limit:
+                break
+            if (side >> a ^ side >> b) & 1:
+                out[a, b] = out.get((a, b), 0) | 1 << bit
+    return out
+
+
+def _list_available(searcher, e, crossing):
+    """The crossing pairs outside the support that, under the plane
+    regimes, conflict with no support edge but e (counted pairwise)."""
+    h, edges = searcher.h, searcher.edges
+    if not searcher.c.require_plane:
+        return {ed for ed in crossing if ed not in edges}
+
+    def hits(a, b):
+        return segments_conflict(h.segment(*a), h.segment(*b))
+
+    blocked = Counter(ed for ed in crossing for x in edges if hits(ed, x))
+    return {ed for ed in crossing if ed not in edges and blocked[ed] == hits(ed, e)}
+
+
+def _list_cover(searcher, e, nb, crossing, available):
+    """The cheapest set of at most max_replacement available pairs that
+    crosses every broken cut, searched over the available pairs sorted by
+    (length, pair)."""
+    h, c = searcher.h, searcher.c
+    covered = 0
+    for ed in available:
+        covered |= crossing[ed]
+    if covered != (1 << nb) - 1:
+        return None
+    length = searcher.t.length
+    len_e = length(e)
+    order = sorted(available, key=lambda ed: (length(ed), ed))
+    per_bit = [[ed for ed in order if crossing[ed] >> bit & 1] for bit in range(nb)]
+    dsu = None
+    if c.require_acyclic:
+        dsu = DisjointSet(h.n)
+        for ed in searcher.edges - {e}:
+            dsu.union(*ed)
+    cap = nb if searcher.max_replacement is None else min(searcher.max_replacement, nb)
+    best = [None, None]
+    chosen = []
+
+    def dfs(uncovered, total):
+        if uncovered == 0:
+            repl = tuple(sorted(chosen))
+            if (best[0] is None or total < best[0] - 1e-9
+                    or (abs(total - best[0]) <= 1e-9 and repl < best[1])):
+                best[:] = [total, repl]
+            return
+        if len(chosen) >= cap:
+            return
+        bit = (uncovered & -uncovered).bit_length() - 1
+        for ed in per_bit[bit]:
+            t2 = total + length(ed)
+            if t2 >= len_e - 1e-12 or (best[0] is not None and t2 > best[0] + 1e-9):
+                break
+            if ed in chosen or (c.require_plane and any(
+                    segments_conflict(h.segment(*ed), h.segment(*x)) for x in chosen)):
+                continue
+            token = dsu.union(*ed) if dsu is not None else None
+            if dsu is not None and token is None:
+                continue
+            chosen.append(ed)
+            dfs(uncovered & ~crossing[ed], t2)
+            chosen.pop()
+            if token is not None:
+                dsu.undo(token)
+
+    dfs((1 << nb) - 1, 0.0)
+    return None if best[0] is None else (len_e - best[0], best[1])
+
+
+def test_mask_layer_matches_list_scan(monkeypatch):
+    # Every edge evaluated off the spanning-tree path in p and u climbs gets
+    # the crossing set, the available set and the swap of the list scans
+    # that the bitmasks replace. The grids have many equal lengths.
+    fresh = _Searcher._best_swap
+    evaluated = []
+
+    def checked(self, e):
+        res = fresh(self, e)
+        if self.tree:
+            return res
+        broken = [(s, side) for s in self.t.hyps(e)
+                  if (side := self._side(e, s)) is not None]
+        if not broken:
+            assert res == (self.t.length(e), ())
+            return res
+        t, w = self.t, self.t.length(e)
+        masks = [t.crossing(side, t.members[s], t.within[s], w) for s, side in broken]
+        crossing = _list_crossing(self.t, e, broken)
+        pairs = self.t.pairs
+        assert {pairs[j]: sum(1 << b for b, x in enumerate(masks) if x >> j & 1)
+                for x in masks for j in range(x.bit_length()) if x >> j & 1} == crossing
+        available = _list_available(self, e, crossing)
+        now = self._available(e, masks)
+        assert {pairs[j] for j in range(now.bit_length()) if now >> j & 1} == available
+        assert res == _list_cover(self, e, len(broken), crossing, available)
+        evaluated.append(self.c.label)
+        return res
+
+    monkeypatch.setattr(_Searcher, "_best_swap", checked)
+    rng = random.Random(61)
+    pool = [generate(n, k, DegreeScheme.MID, random.Random(seed))
+            for n, k, seed in [(12, 3, s) for s in range(4)] + [(16, 4, s) for s in range(4)]]
+    pool += [_grid_instance(rng) for _ in range(6)]
+    for h in pool:
+        star = star_support(h)
+        for c in (UNRESTRICTED, PLANE):
+            if satisfies(star, h, c):
+                local_search_seeded(h, star, c)
+    counts = Counter(evaluated)
+    assert counts["u"] > 200 and counts["p"] > 200
+
+
+def _tree_sides_agree(searcher):
+    """Each tree edge's kept side equals the depth-first search's."""
+    pos, end, parent, _, prefix = _depth_first(searcher.adj, range(searcher.h.n))
+    for u, v in searcher.edges:
+        child = v if parent[v] == u else u
+        assert searcher._tree_side((u, v)) == prefix[end[child]] ^ prefix[pos[child]]
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_kept_tree_matches_depth_first():
+    # The rooted tree kept across the commits of t and pt climbs gives every
+    # tree edge the side that a fresh search of the support gives.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        seed = data.draw(st.integers(0, 10**6))
+        if data.draw(st.booleans()):
+            h = _grid_instance(random.Random(seed))
+        else:
+            h = generate(data.draw(st.integers(5, 30)), data.draw(st.integers(2, 4)),
+                         DegreeScheme.MID, random.Random(seed))
+        star = star_support(h)
+        for c in (TREE, PLANE_TREE):
+            if not satisfies(star, h, c):
+                continue
+            searcher = _Searcher(_Tables(h, star), c, star.edges)
+            assert searcher.tree
+            _tree_sides_agree(searcher)
+            while searcher.run_round():
+                _tree_sides_agree(searcher)
+
+    check()

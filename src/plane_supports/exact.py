@@ -286,7 +286,7 @@ def _initial_incumbent(h: Hypergraph, c: ConstraintSet):
     if h.core():
         star, tables, star_fits = _star_seed(h)
         if star_fits(c):
-            report = _climb(tables, c, star, max_replacement=3)
+            report = _climb(tables, c, star)
             return report.length, frozenset(report.support.edges)
     report = mst_iteration(h)
     if satisfies(report.support, h, c):

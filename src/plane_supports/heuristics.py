@@ -24,13 +24,13 @@ spanning-tree support (t and pt), the tree is kept rooted at vertex 0 with
 subtree masks and re-rooted along one path per commit, instead of searched
 afresh every round.
 
-Under t on a spanning-tree support, each tree edge's best swap is also
-kept across rounds. Committing e0 -> r changes the cut only of the tree
-edges on the path between r's ends, e0 among them; any other edge keeps
-its cut, which neither e0 nor r crosses, so its candidate pool and answer
-are unchanged. Those path edges are exactly the entries whose stored cut
-side holds one end of r, and only they are dropped. pt and p are not
-memoised: their answers also depend on the conflict counts.
+A swap's answer depends only on the removed edge's cuts and on which of the
+pairs crossing them are available, so a climb keeps each edge's last
+evaluation and reuses it while both are unchanged, in every regime. Under
+the acyclic regimes (t and pt) the support is a forest: every hyperedge
+holding the removed edge breaks, both sides stay connected, and two pairs
+across the cut would close a cycle, so the replacement is always the one
+shortest available pair that crosses every broken cut.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from itertools import count
 from operator import and_
 
 from .geom import SegmentConflicts, segments_conflict
-from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, DisjointSet,
-                    Edge, Hypergraph, SupportGraph, satisfies, total_length)
+from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
+                    Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import complete_with_free_edges, emst, emst_order, star_support
 
 # Gains below this never commit, which keeps termination independent of
@@ -52,6 +52,8 @@ from .mst import complete_with_free_edges, emst, emst_order, star_support
 # by more than _STRICT_EPS.
 _TIE_EPS = 1e-9
 _STRICT_EPS = 1e-12
+# The most pairs that one swap adds, under the non-acyclic regimes.
+_MAX_REPLACEMENT = 3
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,9 @@ def _union_support(trees: dict[int, frozenset[Edge]]) -> SupportGraph:
     return SupportGraph(frozenset(edges))
 
 
-def _execute_sequence(h: Hypergraph, steps, trees=None, built=None,
-                      orders=None) -> dict[int, frozenset[Edge]]:
-    """Run the given recomputation steps, starting from `trees` (or nothing).
+def _execute_sequence(h: Hypergraph, steps, trees, built,
+                      orders) -> dict[int, frozenset[Edge]]:
+    """Run the given recomputation steps, starting from `trees`.
 
     Step s rebuilds tree s with every edge of the *other* trees that lies
     inside hyperedge s available at weight zero. Recomputing an existing tree
@@ -97,14 +99,12 @@ def _execute_sequence(h: Hypergraph, steps, trees=None, built=None,
     edge is free for s when a tree other than s holds it. The tree is
     mst_with_free_edges' tree, rebuilt by complete_with_free_edges from
     hyperedge s's EMST in `orders` (a dict by hyperedge, filled here on
-    first use; mst_iteration shares one between calls). If `built` is
-    given, it maps each tree to the free set it was last built with and is
-    kept up to date; a step whose free set is unchanged keeps its tree,
-    since the tree is a pure function of the members and the free set.
+    first use; mst_iteration shares one between calls). `built` maps each
+    tree to the free set it was last built with and is kept up to date; a
+    step whose free set is unchanged keeps its tree, since the tree is a
+    pure function of the members and the free set.
     """
-    trees = dict(trees) if trees else {}
-    if orders is None:
-        orders = {}
+    trees = dict(trees)
     held: Counter[Edge] = Counter()
     for t in trees.values():
         held.update(t)
@@ -113,10 +113,9 @@ def _execute_sequence(h: Hypergraph, steps, trees=None, built=None,
         own = trees.get(s, frozenset())
         free = {e for e, c in held.items()
                 if c > (e in own) and e[0] in mset and e[1] in mset}
-        if built is not None:
-            if built.get(s) == free:
-                continue
-            built[s] = free
+        if built.get(s) == free:
+            continue
+        built[s] = free
         order = orders.get(s)
         if order is None:
             order = orders[s] = emst_order(sorted(mset), h)
@@ -142,8 +141,8 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
 
     With an explicit sequence the steps run exactly as given. Otherwise, for
     two hyperedges both three-step orders <0,1,0> and <1,0,1> are evaluated
-    and the shorter support wins (this is already stable); for more
-    hyperedges every tree starts as its isolated EMST and round-robin
+    and the shorter support wins (this is already stable); for one or more
+    than two hyperedges every tree starts as its isolated EMST and round-robin
     recomputation passes run until a pass leaves the edge set unchanged,
     capped at max_passes. Either way the result is never longer than
     mst_approximation's.
@@ -163,23 +162,19 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
                 raise IndexError(f"hyperedge index {s} out of range 0..{k - 1}")
         if set(steps) != set(range(k)):
             raise ValueError("computation sequence must contain every hyperedge at least once")
-        support = _union_support(_execute_sequence(h, steps))
+        support = _union_support(_execute_sequence(h, steps, {}, {}, {}))
         return SolveReport(support, total_length(support, h), len(steps))
-
-    if k == 1:
-        support = _union_support(_execute_sequence(h, [0]))
-        return SolveReport(support, total_length(support, h), 1)
 
     if k == 2:
         orders: dict[int, list[Edge]] = {}  # both orders share the EMSTs
-        g_a = _union_support(_execute_sequence(h, [0, 1, 0], orders=orders))
-        g_b = _union_support(_execute_sequence(h, [1, 0, 1], orders=orders))
+        g_a = _union_support(_execute_sequence(h, [0, 1, 0], {}, {}, orders))
+        g_b = _union_support(_execute_sequence(h, [1, 0, 1], {}, {}, orders))
         len_a = total_length(g_a, h)
         len_b = total_length(g_b, h)
         support, length = (g_b, len_b) if len_b < len_a - _TIE_EPS else (g_a, len_a)
         return SolveReport(support, length, 3)
 
-    # k > 2: start from the approximation state so every later step is a
+    # Otherwise start from the approximation state so every later step is a
     # pure recomputation, then iterate passes to stability. An EMST is the
     # tree built with no free edges, so `built` starts empty for each tree.
     orders = {s: emst_order(sorted(h.hyperedges[s]), h) for s in range(k)}
@@ -373,21 +368,19 @@ class _Searcher:
     Under the plane regimes blocked[i] counts the support edges that
     conflict with stored pair i, and the bitmasks zero and one hold the
     pairs counted 0 and 1 times. Off a spanning tree, removal cuts come from
-    one depth-first search per hyperedge (bridges of its induced subgraph).
-    On a spanning tree, parent and sub keep the tree rooted at vertex 0
-    (sub[v]: the vertex bitmask of v's subtree, the side that removing v's
-    parent edge cuts off); they are built when the support becomes a tree,
-    updated by every commit and dropped when it stops being one. Under t on
-    a spanning tree, tree_memo keeps each edge's tree swap (see the module
-    docstring); it is emptied whenever the support stops being a tree.
+    one depth-first search per hyperedge (bridges of its induced subgraph),
+    kept until a commit changes an edge inside it. On a spanning tree,
+    parent and sub keep the tree rooted at vertex 0 (sub[v]: the vertex
+    bitmask of v's subtree, the side that removing v's parent edge cuts
+    off); they are built when the support becomes a tree, updated by every
+    commit and dropped when it stops being one. memo keeps each evaluated
+    edge's last swap evaluation (see _best_swap).
     """
 
-    def __init__(self, tables: _Tables, c: ConstraintSet, start_edges,
-                 max_replacement: int | None = 3):
+    def __init__(self, tables: _Tables, c: ConstraintSet, start_edges):
         self.t = tables
         self.h = h = tables.h
         self.c = c
-        self.max_replacement = max_replacement
         self.edges: set[Edge] = set(start_edges)
         self.adj: dict[int, set[int]] = {v: set() for v in range(h.n)}
         for e in self.edges:
@@ -395,19 +388,10 @@ class _Searcher:
             self.adj[u].add(v)
             self.adj[v].add(u)
             tables.index_of(e)
-        # Per support edge: (versions of its hyperedges, broken cuts,
-        # crossing pairs, available pairs, swap result) of its last
-        # evaluation; see _best_swap. A hyperedge's version counts the
-        # commits that changed an edge inside it.
-        self.versions = [0] * h.k
-        self.cache: dict[Edge, tuple] = {}
-        # Under the acyclic non-plane regime (t) on a spanning-tree support:
-        # per tree edge, (side, _best_tree_swap's answer), where side is the
-        # bitmask of one side of its cut; see run_round. None elsewhere.
-        self.tree_memo: dict[Edge, tuple] | None = \
-            {} if c.require_acyclic and not c.require_plane else None
-        # Depth-first searches of this round, by hyperedge; dropped when a
-        # commit changes what they searched.
+        # Per edge: (cuts, crossing pairs, available pairs, answer).
+        self.memo: dict[Edge, tuple] = {}
+        # Depth-first searches by hyperedge; dropped when a commit changes
+        # what they searched.
         self._searches: dict[int, tuple] = {}
         if c.require_plane:
             nbytes = (tables.stored >> 3) + 1
@@ -432,13 +416,10 @@ class _Searcher:
 
     def _note_shape(self) -> None:
         # An acyclic support with n - 1 edges is a spanning tree: removing
-        # an edge splits it in two, and a single crossing pair is the only
-        # replacement that keeps it acyclic.
+        # an edge splits it in two.
         self.tree = self.c.require_acyclic and len(self.edges) == self.h.n - 1
         if not self.tree:
             self.parent = self.sub = None
-            if self.tree_memo:
-                self.tree_memo.clear()
         elif self.parent is None:
             pos, end, self.parent, _, prefix = _depth_first(self.adj, range(self.h.n))
             self.sub = [prefix[end[v]] ^ prefix[pos[v]] for v in range(self.h.n)]
@@ -446,30 +427,26 @@ class _Searcher:
     def current_support(self) -> SupportGraph:
         return SupportGraph(frozenset(self.edges))
 
-    def _side(self, e: Edge, s: int):
-        """Bitmask of the vertices cut off from the rest of hyperedge s when
-        e is removed from the subgraph it induces; None if e is not a bridge
-        there."""
-        search = self._searches.get(s)
-        if search is None:
-            search = self._searches[s] = _depth_first(self.adj, self.h.hyperedges[s])
-        pos, end, parent, low, prefix = search
+    def _cuts(self, e: Edge) -> list[tuple[int, int]]:
+        """The hyperedges s holding e in whose induced subgraph e is a
+        bridge, in ascending order, each as (s, side), side the bitmask of
+        the vertices that removing e cuts off from the rest of s."""
         u, v = e
-        if parent[v] == u:
-            child = v
-        elif parent[u] == v:
-            child = u
-        else:
-            return None
-        if low[child] <= pos[parent[child]]:
-            return None
-        return prefix[end[child]] ^ prefix[pos[child]]
-
-    def _tree_side(self, e: Edge) -> int:
-        """On a spanning tree, the vertices that removing e cuts off from
-        vertex 0: the subtree below e."""
-        u, v = e
-        return self.sub[v] if self.parent[v] == u else self.sub[u]
+        out = []
+        for s in self.t.hyps(e):
+            search = self._searches.get(s)
+            if search is None:
+                search = self._searches[s] = _depth_first(self.adj, self.h.hyperedges[s])
+            pos, end, parent, low, prefix = search
+            if parent[v] == u:
+                child = v
+            elif parent[u] == v:
+                child = u
+            else:
+                continue
+            if low[child] > pos[parent[child]]:
+                out.append((s, prefix[end[child]] ^ prefix[pos[child]]))
+        return out
 
     def _reroot(self, e0: Edge, r: Edge) -> None:
         """Update parent and sub for the commit e0 -> r: the subtree below
@@ -494,38 +471,6 @@ class _Searcher:
                 break
             x, up, below = nxt, x, old
 
-    def _best_tree_swap(self, e: Edge):
-        """_best_swap for a spanning-tree support under an acyclic regime.
-
-        Every hyperedge holding e breaks, and the replacement is one pair
-        that crosses the cut and lies in all of them; the shortest such pair
-        wins, ties within _TIE_EPS going to the smaller pair.
-        """
-        t = self.t
-        i = t.index[e]
-        len_e = t.plen[i]
-        held = t.held[i]
-        if not held:
-            return (len_e, ())
-        if self.max_replacement is not None and self.max_replacement < 1:
-            return None
-        pool = t.crossing(self._tree_side(e), (1 << self.h.n) - 1, t.common[held], len_e)
-        if self.c.require_plane:
-            pool &= self.zero | self.one & t.conflicts_of(e)[0]
-        plen, pairs = t.plen, t.pairs
-        best_w = best = None
-        while pool:  # lowest bit first: ascending (length, u, v)
-            low = pool & -pool
-            j = low.bit_length() - 1
-            if best is not None and plen[j] > best_w + _TIE_EPS:
-                break
-            if best is None or pairs[j] < best:
-                best_w, best = plen[j], pairs[j]
-            pool ^= low
-        if best is None:
-            return None
-        return (len_e - best_w, (best,))
-
     def _best_swap(self, e: Edge):
         """Cheapest feasible replacement set for removing e, or None.
 
@@ -534,53 +479,48 @@ class _Searcher:
         that reconnects every hyperedge e's removal breaks, subject to the
         constraint set. An empty tuple means e is simply redundant.
 
-        Off the spanning-tree path the answer depends only on the cut of
-        each broken hyperedge and on which cut-crossing pairs are available,
-        so it is cached and reused while both are unchanged. While no
-        hyperedge holding e has changed, the cuts and the crossing pairs in
-        the support are known to be unchanged. Under an acyclic regime the
-        answer also depends on the rest of the support, and is not cached;
-        on a spanning tree under t, tree_memo keeps it instead.
+        e's cuts are computed on every call. On a spanning tree they are one
+        side, the subtree below e, and the crossing pairs are those that lie
+        in every hyperedge holding e. Elsewhere they are _cuts(e). The
+        answer depends only on the cuts and on the available crossing
+        pairs, so memo[e] keeps the last evaluation: equal cuts cross the
+        same pairs, and then, under t and u (where every crossing pair is
+        available) or with equal available pairs, the answer is the same.
+        Under t and pt the answer is the shortest available pair that
+        crosses every cut (see the module docstring); under u and p it is
+        _cover's.
         """
         if self.tree:
-            memo = self.tree_memo
-            if memo is None:
-                return self._best_tree_swap(e)
-            hit = memo.get(e)
-            if hit is None:
-                hit = memo[e] = (self._tree_side(e), self._best_tree_swap(e))
-            return hit[1]
-        hyps = self.t.hyps(e)
-        versions = tuple(self.versions[s] for s in hyps)
-        hit = self.cache.get(e)
-        if hit is not None and hit[0] == versions:
-            _, broken, crossing, available, res = hit
-            if not self.c.require_plane:
-                return res
-            now = self._available(e, crossing)
-            if now == available:
-                return res
+            u, v = e
+            cuts = self.sub[v] if self.parent[v] == u else self.sub[u]
         else:
-            broken = []
-            for s in hyps:
-                side = self._side(e, s)
-                if side is not None:
-                    broken.append((s, side))
-            if not broken:
+            cuts = self._cuts(e)
+            if not cuts:
                 return (self.t.length(e), ())
-            if hit is not None and hit[1] == broken:
-                crossing = hit[2]  # the same cuts cross the same pairs
-                now = self._available(e, crossing)
-                if now == hit[3]:
-                    self.cache[e] = (versions,) + hit[1:]
-                    return hit[4]
+        hit = self.memo.get(e)
+        if hit is not None and hit[0] == cuts:
+            if not self.c.require_plane:
+                return hit[3]
+            crossing = hit[1]
+        else:
+            hit = None
+            t = self.t
+            i = t.index[e]
+            held, w = t.held[i], t.plen[i]
+            if not held:  # a seed pair that no hyperedge holds
+                return (w, ())
+            if self.tree:
+                crossing = [t.crossing(cuts, (1 << self.h.n) - 1, t.common[held], w)]
             else:
-                t, w = self.t, self.t.length(e)
-                crossing = [t.crossing(side, t.members[s], t.within[s], w) for s, side in broken]
-                now = self._available(e, crossing)
-        res = self._cover(e, crossing, now)
-        if not self.c.require_acyclic:
-            self.cache[e] = (versions, broken, crossing, now, res)
+                crossing = [t.crossing(side, t.members[s], t.within[s], w) for s, side in cuts]
+        available = self._available(e, crossing)
+        if hit is not None and hit[2] == available:
+            return hit[3]
+        if self.c.require_acyclic:
+            res = self._shortest_pair(self.t.length(e), reduce(and_, crossing) & available)
+        else:
+            res = self._cover(e, crossing, available)
+        self.memo[e] = (cuts, crossing, available, res)
         return res
 
     def _available(self, e: Edge, crossing) -> int:
@@ -595,8 +535,26 @@ class _Searcher:
             pool &= self.zero | self.one & self.t.conflicts_of(e)[0]
         return pool
 
+    def _shortest_pair(self, len_e: float, pool: int):
+        """The swap that adds the shortest pair of `pool`, ties within
+        _TIE_EPS going to the smaller pair, as (gain, (pair,)); None if pool
+        is empty."""
+        plen, pairs = self.t.plen, self.t.pairs
+        best_w = best = None
+        while pool:  # lowest bit first: ascending (length, u, v)
+            low = pool & -pool
+            j = low.bit_length() - 1
+            if best is not None and plen[j] > best_w + _TIE_EPS:
+                break
+            if best is None or pairs[j] < best:
+                best_w, best = plen[j], pairs[j]
+            pool ^= low
+        if best is None:
+            return None
+        return (len_e - best_w, (best,))
+
     def _cover(self, e: Edge, crossing: list[int], available: int):
-        """The cheapest set of at most max_replacement available pairs that
+        """The cheapest set of at most _MAX_REPLACEMENT available pairs that
         crosses every broken hyperedge's cut, as (gain, replacement)."""
         pools = [x & available for x in crossing]  # by broken cut
         if not all(pools):
@@ -605,14 +563,7 @@ class _Searcher:
         t = self.t
         plen, pairs = t.plen, t.pairs
         len_e = t.length(e)
-        dsu = None
-        if self.c.require_acyclic:
-            dsu = DisjointSet(self.h.n)
-            for a, b in self.edges:
-                if (a, b) != e:
-                    dsu.union(a, b)
-
-        cap = nb if self.max_replacement is None else min(self.max_replacement, nb)
+        cap = min(_MAX_REPLACEMENT, nb)
         best_total = None
         best_repl = None
         chosen: list[Edge] = []
@@ -645,11 +596,6 @@ class _Searcher:
                     continue
                 if plane and any(conflict(ed, c2) for c2 in chosen):
                     continue
-                token = None
-                if dsu is not None:
-                    token = dsu.union(*ed)
-                    if token is None:
-                        continue  # ed would close a cycle
                 chosen.append(ed)
                 rest = uncovered ^ 1 << bit  # less the other cuts that ed crosses
                 for b in range(bit + 1, nb):
@@ -657,8 +603,6 @@ class _Searcher:
                         rest &= ~(1 << b)
                 dfs(rest, t2)
                 chosen.pop()
-                if token is not None:
-                    dsu.undo(token)
 
         dfs((1 << nb) - 1, 0.0)
         if best_total is None:
@@ -705,18 +649,9 @@ class _Searcher:
             self.adj[r[1]].add(r[0])
             touched.update(t.hyps(r))
         for s in touched:
-            self.versions[s] += 1
             self._searches.pop(s, None)
-        self.cache.pop(best_e, None)
         if self.tree and len(best_repl) == 1:
             self._reroot(best_e, best_repl[0])
-        if self.tree_memo and len(best_repl) == 1:
-            # Only the cuts of the tree edges on the cycle that r closes
-            # change, best_e's among them: exactly those whose side holds
-            # one end of r.
-            a, b = best_repl[0]
-            self.tree_memo = {f: hit for f, hit in self.tree_memo.items()
-                              if not (hit[0] >> a ^ hit[0] >> b) & 1}
         if self.c.require_plane:
             self._block([best_e], -1)
             self._block(best_repl, 1)
@@ -724,24 +659,23 @@ class _Searcher:
         return True
 
 
-def local_search_round(h: Hypergraph, g: SupportGraph, c: ConstraintSet = UNRESTRICTED,
-                       max_replacement: int | None = 3):
+def local_search_round(h: Hypergraph, g: SupportGraph, c: ConstraintSet = UNRESTRICTED):
     """One round of the hill climber on an existing support.
 
     Returns (new_support, improved); the input must already satisfy c.
     """
     if not satisfies(g, h, c):
         raise ValueError("input support violates the requested constraints")
-    searcher = _Searcher(_Tables(h, g), c, g.edges, max_replacement)
+    searcher = _Searcher(_Tables(h, g), c, g.edges)
     improved = searcher.run_round()
     return searcher.current_support(), improved
 
 
 def _climb(tables: _Tables, c: ConstraintSet, start: SupportGraph,
-           max_replacement: int | None, rounds: int = 0) -> SolveReport:
+           rounds: int = 0) -> SolveReport:
     """Climb from `start` until no swap improves; `rounds` counts on from
     the rounds that produced `start`."""
-    searcher = _Searcher(tables, c, start.edges, max_replacement)
+    searcher = _Searcher(tables, c, start.edges)
     while searcher.run_round():
         rounds += 1
     support = searcher.current_support()
@@ -775,8 +709,8 @@ def _star_seed(h: Hypergraph):
     return seed, tables, fits
 
 
-def local_search_all(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
-                     max_replacement: int | None = 3) -> dict[str, SolveReport | None]:
+def local_search_all(h: Hypergraph,
+                     c: ConstraintSet = UNRESTRICTED) -> dict[str, SolveReport | None]:
     """Hill climbing from the star seed, nested across regimes: the results
     for c and for every regime stricter than c, by label.
 
@@ -810,28 +744,26 @@ def local_search_all(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
         if r.label != c.label and not seed_fits(r):
             results[r.label] = None
             continue
-        own = _climb(tables, r, seed, max_replacement)
+        own = _climb(tables, r, seed)
         bounds = [results[b.label] for b in _stricter(r) if results[b.label] is not None]
         if bounds:
             best = min(bounds, key=lambda b: b.length)
             if own.length > best.length + _TIE_EPS:
-                own = _climb(tables, r, best.support, max_replacement, best.rounds_or_passes)
+                own = _climb(tables, r, best.support, best.rounds_or_passes)
         results[r.label] = own
     return results
 
 
-def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
-                 max_replacement: int | None = 3) -> SolveReport:
+def local_search(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> SolveReport:
     """local_search_all's result for c alone; a call for t or p climbs pt
     too, and a u call all four regimes."""
-    return local_search_all(h, c, max_replacement)[c.label]
+    return local_search_all(h, c)[c.label]
 
 
 def local_search_seeded(h: Hypergraph, g0: SupportGraph,
-                        c: ConstraintSet = UNRESTRICTED,
-                        max_replacement: int | None = 3) -> SolveReport:
+                        c: ConstraintSet = UNRESTRICTED) -> SolveReport:
     """One climb from a caller-supplied seed, without local_search's
     cascade: its result is not promised to nest across regimes."""
     if not satisfies(g0, h, c):
         raise ValueError("seed support violates the requested constraints")
-    return _climb(_Tables(h, g0), c, g0, max_replacement)
+    return _climb(_Tables(h, g0), c, g0)

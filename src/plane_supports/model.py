@@ -7,6 +7,7 @@ value; the validators are pure functions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -254,8 +255,9 @@ def is_acyclic(g: SupportGraph) -> bool:
 
 
 def total_length(g: SupportGraph, h: Hypergraph) -> float:
-    """Sum of Euclidean lengths over the distinct edges of g."""
-    return sum(h.edge_length(u, v) for u, v in g.edges)
+    """Sum of Euclidean lengths over the distinct edges of g, correctly
+    rounded, so that it does not depend on the order of g's edges."""
+    return math.fsum(h.edge_length(u, v) for u, v in g.edges)
 
 
 def satisfies(g: SupportGraph, h: Hypergraph, c: ConstraintSet) -> bool:

@@ -184,9 +184,9 @@ _SEARCH_PINS = {
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
     (8, 2, 4, "pt", None): (365, 22, 196.61409259919296, True,
                             [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 3, 2, "u", None): (461, 461, 208.53608233936453, True,
+    (8, 3, 2, "u", None): (461, 461, 208.5360823393645, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
-    (8, 3, 2, "t", None): (402, 402, 208.53608233936453, True,
+    (8, 3, 2, "t", None): (402, 402, 208.5360823393645, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
     (8, 3, 2, "p", None): (399, 399, 213.43091622996988, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
@@ -198,15 +198,15 @@ _SEARCH_PINS = {
                            [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (4, 6)]),
     (8, 3, 4, "p", None): (1801, 1355, 341.06149592494125, True,
                            [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (5, 7)]),
-    (8, 3, 4, "pt", None): (3814, 3507, 401.8008524345189, True,
+    (8, 3, 4, "pt", None): (3814, 3507, 401.80085243451896, True,
                             [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
     (9, 2, 4, "u", None): (251, 47, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
     (9, 2, 4, "t", None): (242, 42, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "p", None): (243, 47, 258.1415682502174, True,
+    (9, 2, 4, "p", None): (243, 47, 258.14156825021746, True,
                            [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "pt", None): (236, 43, 258.1415682502174, True,
+    (9, 2, 4, "pt", None): (236, 43, 258.14156825021746, True,
                             [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
     (9, 3, 3, "u", None): (347, 231, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
@@ -224,7 +224,7 @@ _SEARCH_PINS = {
     (9, 3, 7, "p", None): (803, 695, 283.55605063891556, True,
                            [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
                             (6, 8)]),
-    (9, 3, 7, "pt", None): (1301, 1163, 301.3161961526688, True,
+    (9, 3, 7, "pt", None): (1301, 1163, 301.31619615266885, True,
                             [(0, 1), (1, 4), (1, 5), (1, 7), (1, 8), (2, 7), (3, 4), (4, 6)]),
     # Capped after the search has improved on the heuristic seed (301.32 and
     # 348.93) but before it has proven that improvement optimal. With the

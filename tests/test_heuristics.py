@@ -8,8 +8,8 @@ import pytest
 import plane_supports.model as model
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.geom import segments_conflict
-from plane_supports.heuristics import (ComputationSequence, _Searcher, _Tables, _depth_first,
-                                       _execute_sequence, _star_seed, _union_support,
+from plane_supports.heuristics import (_MAX_REPLACEMENT, ComputationSequence, _Searcher, _Tables,
+                                       _depth_first, _execute_sequence, _star_seed, _union_support,
                                        local_search, local_search_all, local_search_round,
                                        local_search_seeded,
                                        mst_approximation, mst_iteration)
@@ -159,10 +159,10 @@ def test_a_changed_free_set_of_the_same_size_is_rebuilt():
     new = mst_with_free_edges([0, 1, 2, 3], [(0, 2)], h).edges
     assert old != new
     built = {0: {(0, 1)}, 1: set()}
-    trees = _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built)
+    trees = _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built, {})
     assert trees[0] == new and built[0] == {(0, 2)}
     # The same free set again keeps whatever tree is there.
-    assert _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built)[0] == old
+    assert _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built, {})[0] == old
 
 
 def test_iteration_skip_saves_tree_computations(monkeypatch):
@@ -214,7 +214,7 @@ def test_recomputing_a_tree_never_lengthens_the_support():
         for trees, steps in runs:
             for s in steps:
                 before = total_length(_union_support(trees), h) if s in trees else None
-                trees = _execute_sequence(h, [s], trees)
+                trees = _execute_sequence(h, [s], trees, {}, {})
                 if before is not None:
                     assert total_length(_union_support(trees), h) <= before + 1e-6, (h.k, s)
                     recomputed += 1
@@ -301,7 +301,7 @@ def test_local_search_on_already_optimal_seed_commits_zero_rounds():
 
 
 def test_swap_cache_equals_fresh_computation():
-    # A climb keeps per-edge swap results, tree-swap memo entries and
+    # A climb keeps per-edge swap evaluations, the rooted tree and
     # conflict counts across rounds; replaying each round with a fresh
     # searcher must give the same support in every regime. The grids have
     # many equal lengths, and at n = 30-40 memo entries survive many rounds.
@@ -328,28 +328,25 @@ def test_swap_cache_equals_fresh_computation():
 
 
 def test_tree_swap_memo_saves_evaluations(monkeypatch):
-    # Under t on a spanning tree, a commit changes only the answers of the
-    # tree edges on the cycle the replacement closes, so a climb evaluates
-    # far fewer tree swaps than rounds times tree edges; pt, which is not
-    # memoised, evaluates more.
+    # On a spanning tree a commit changes only the cuts of the tree edges on
+    # the cycle the replacement closes, so a t or pt climb picks a fresh
+    # one-pair swap far fewer times than rounds times tree edges; under pt
+    # a kept answer also needs the same pairs available.
     calls = []
-    fresh = _Searcher._best_tree_swap
+    fresh = _Searcher._shortest_pair
 
-    def counting(self, e):
-        calls.append(e)
-        return fresh(self, e)
+    def counting(self, len_e, pool):
+        calls.append(len_e)
+        return fresh(self, len_e, pool)
 
-    monkeypatch.setattr(_Searcher, "_best_tree_swap", counting)
+    monkeypatch.setattr(_Searcher, "_shortest_pair", counting)
     h = generate(40, 4, DegreeScheme.MID, random.Random(1))
     star = star_support(h)
-    evaluated, rounds = {}, {}
     for c in (TREE, PLANE_TREE):
         calls.clear()
-        rounds[c.label] = local_search_seeded(h, star, c).rounds_or_passes
-        evaluated[c.label] = len(calls)
-    assert rounds["t"] > 10
-    assert evaluated["t"] < rounds["t"] * (h.n - 1) / 4
-    assert evaluated["t"] < evaluated["pt"]
+        rounds = local_search_seeded(h, star, c).rounds_or_passes
+        assert rounds > 10, c.label
+        assert len(calls) < rounds * (h.n - 1) / 4, c.label
 
 
 def _grid_instance(rng):
@@ -363,27 +360,29 @@ def _grid_instance(rng):
 
 def test_tree_swap_matches_general_cover():
     # On a spanning-tree support under an acyclic regime, _best_swap answers
-    # through _best_tree_swap; the general cut-cover search (_cover with its
-    # union-find) must give the same gain and replacement for every edge.
+    # with one pair read off the kept tree; the general cut-cover search
+    # over sorted lists, with a union-find for acyclicity (_list_cover),
+    # must give the same gain and replacement for every edge.
     rng = random.Random(17)
     cases = [(generate(14, 3, DegreeScheme.MID, random.Random(700 + i)), c)
-             for i in range(4) for c in (TREE, PLANE_TREE)]
-    cases += [(_grid_instance(rng), TREE) for _ in range(8)]
+             for i in range(8) for c in (TREE, PLANE_TREE)]
+    cases += [(_grid_instance(rng), TREE) for _ in range(16)]
     compared = 0
     for h, c in cases:
         star = star_support(h)
-        for max_replacement in (3, 1):
-            searcher = _Searcher(_Tables(h, star), c, star.edges, max_replacement)
-            while searcher.tree:
-                for e in sorted(searcher.edges):
-                    fast = searcher._best_tree_swap(e)
-                    searcher.tree = False
-                    general = searcher._best_swap(e)
-                    searcher.tree = True
-                    assert fast == general, (e, c.label, max_replacement)
-                    compared += fast is not None
-                if not searcher.run_round():
-                    break
+        searcher = _Searcher(_Tables(h, star), c, star.edges)
+        while searcher.tree:
+            for e in sorted(searcher.edges):
+                broken = searcher._cuts(e)
+                assert len(broken) == len(searcher.t.hyps(e))
+                crossing = _list_crossing(searcher.t, e, broken)
+                available = _list_available(searcher, e, crossing)
+                fast = searcher._best_swap(e)
+                assert fast == _list_cover(searcher, e, len(broken), crossing, available), \
+                    (e, c.label)
+                compared += fast is not None
+            if not searcher.run_round():
+                break
     assert compared > 300
 
 
@@ -613,7 +612,7 @@ def _list_available(searcher, e, crossing):
 
 
 def _list_cover(searcher, e, nb, crossing, available):
-    """The cheapest set of at most max_replacement available pairs that
+    """The cheapest set of at most _MAX_REPLACEMENT available pairs that
     crosses every broken cut, searched over the available pairs sorted by
     (length, pair)."""
     h, c = searcher.h, searcher.c
@@ -631,7 +630,7 @@ def _list_cover(searcher, e, nb, crossing, available):
         dsu = DisjointSet(h.n)
         for ed in searcher.edges - {e}:
             dsu.union(*ed)
-    cap = nb if searcher.max_replacement is None else min(searcher.max_replacement, nb)
+    cap = min(_MAX_REPLACEMENT, nb)
     best = [None, None]
     chosen = []
 
@@ -665,10 +664,29 @@ def _list_cover(searcher, e, nb, crossing, available):
     return None if best[0] is None else (len_e - best[0], best[1])
 
 
+def _forest_instance(rng):
+    # Three groups of seven points far apart. In each, two or three random
+    # hyperedges share the group's first point; no hyperedge spans two
+    # groups, so every acyclic support is a forest, never a spanning tree.
+    # Returns the hypergraph and the union of the groups' stars.
+    pts, hyperedges, star = [], [], []
+    for g in range(3):
+        c, *rest = range(len(pts), len(pts) + 7)
+        pts += [(40 * g + rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(7)]
+        groups = [{c, *rng.sample(rest, 3)} for _ in range(rng.choice((2, 3)))]
+        for v in rest:
+            rng.choice(groups).add(v)
+        hyperedges += groups
+        star += [(c, v) for v in rest]
+    return hg(pts, hyperedges), SupportGraph.from_pairs(star)
+
+
 def test_mask_layer_matches_list_scan(monkeypatch):
-    # Every edge evaluated off the spanning-tree path in p and u climbs gets
-    # the crossing set, the available set and the swap of the list scans
-    # that the bitmasks replace. The grids have many equal lengths.
+    # Every edge evaluated off the spanning-tree path gets the crossing set,
+    # the available set and the swap of the list scans that the bitmasks
+    # replace: in p and u climbs from the star, and in t and pt climbs from
+    # forest seeds, whose one-pair answers the reference finds by a cut
+    # cover with a union-find. The grids have many equal lengths.
     fresh = _Searcher._best_swap
     evaluated = []
 
@@ -676,8 +694,7 @@ def test_mask_layer_matches_list_scan(monkeypatch):
         res = fresh(self, e)
         if self.tree:
             return res
-        broken = [(s, side) for s in self.t.hyps(e)
-                  if (side := self._side(e, s)) is not None]
+        broken = self._cuts(e)
         if not broken:
             assert res == (self.t.length(e), ())
             return res
@@ -704,16 +721,25 @@ def test_mask_layer_matches_list_scan(monkeypatch):
         for c in (UNRESTRICTED, PLANE):
             if satisfies(star, h, c):
                 local_search_seeded(h, star, c)
+    for _ in range(8):
+        h, star = _forest_instance(rng)
+        for c in (TREE, PLANE_TREE):
+            assert satisfies(star, h, c)
+            local_search_seeded(h, star, c)
     counts = Counter(evaluated)
     assert counts["u"] > 200 and counts["p"] > 200
+    assert counts["t"] > 200 and counts["pt"] > 200
 
 
 def _tree_sides_agree(searcher):
-    """Each tree edge's kept side equals the depth-first search's."""
+    """Each tree edge's kept side, the subtree below it, equals the
+    depth-first search's."""
     pos, end, parent, _, prefix = _depth_first(searcher.adj, range(searcher.h.n))
+    kept_parent, sub = searcher.parent, searcher.sub
     for u, v in searcher.edges:
         child = v if parent[v] == u else u
-        assert searcher._tree_side((u, v)) == prefix[end[child]] ^ prefix[pos[child]]
+        kept = sub[v] if kept_parent[v] == u else sub[u]
+        assert kept == prefix[end[child]] ^ prefix[pos[child]]
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is not installed")

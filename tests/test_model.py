@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import plane_supports.model as model
 from plane_supports.geom import coords_conflict, segments_conflict
 from plane_supports.gen import DegreeScheme, generate
+from plane_supports.heuristics import mst_approximation
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
                                   PLANE_TREE, SupportGraph, TREE, UNRESTRICTED,
                                   candidate_edges, conflicting_edge_pairs, crossing_count,
@@ -132,6 +134,19 @@ def test_total_length_ignores_duplicates_and_order():
     b = SupportGraph.from_pairs([(2, 1), (1, 0), (0, 1)])
     assert a == b
     assert total_length(a, h) == total_length(b, h)
+
+
+def test_total_length_is_exact_whichever_path_built_the_edge_set():
+    # One edge set, built by inserting its edges in two orders: the two
+    # frozensets iterate differently, and a left-to-right float sum over
+    # them differs in the last digit. The total is the correctly rounded sum.
+    h = generate(9, 2, DegreeScheme.MID, random.Random(25))
+    edges = sorted(mst_approximation(h).support.edges)
+    a = SupportGraph.from_pairs(edges)
+    b = SupportGraph.from_pairs(edges[::-1])
+    assert a == b and list(a.edges) != list(b.edges)
+    exact = math.fsum(h.edge_length(u, v) for u, v in edges)
+    assert total_length(a, h) == total_length(b, h) == exact
 
 
 def test_acyclic_implies_edge_bound():

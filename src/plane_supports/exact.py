@@ -33,8 +33,19 @@ class LimitsExceededError(Exception):
 
 @dataclass(frozen=True)
 class SolveLimits:
+    """Caps on solve_exact's search: nodes explored and seconds. None means
+    no cap. A negative or NaN cap is rejected: NaN would never compare
+    greater than the elapsed time, so the cap would be silently ignored."""
+
     node_cap: int | None = None
     time_cap: float | None = None
+
+    def __post_init__(self):
+        if self.node_cap is not None and not self.node_cap >= 0:
+            raise ValueError(f"node cap must be a nonnegative count, got {self.node_cap}")
+        if self.time_cap is not None and not self.time_cap >= 0:
+            raise ValueError(f"time cap must be a nonnegative number of seconds, "
+                             f"got {self.time_cap}")
 
 
 @dataclass(frozen=True)
@@ -259,13 +270,14 @@ def _greedy_support(h: Hypergraph, c: ConstraintSet):
     per_hyp = [DisjointSet(h.n) for _ in range(h.k)]
     global_dsu = DisjointSet(h.n) if c.require_acyclic else None
     chosen: list[Edge] = []
-    # Candidates that conflict with a chosen edge, under the plane regimes.
-    blocked: set[Edge] = set()
+    # Candidates that conflict with a chosen edge, under the plane regimes,
+    # as a bitmask over their positions in cands.
+    blocked = 0
     bulk = SegmentConflicts(h.vertices, cands) if c.require_plane else None
-    for e in cands:
+    for i, e in enumerate(cands):
         u, v = e
         holding = [s for s, mem in enumerate(h.hyperedges) if u in mem and v in mem]
-        if e in blocked or all(per_hyp[s].connected(u, v) for s in holding):
+        if blocked >> i & 1 or all(per_hyp[s].connected(u, v) for s in holding):
             continue
         if global_dsu is not None and global_dsu.union(u, v) is None:
             continue

@@ -8,7 +8,8 @@ lives in two places: coords_conflict, the pairwise test on coordinate
 4-tuples (segments_conflict unpacks two Segments into it, and
 model.conflict_index_pairs walks the edges of a support through it), and
 SegmentConflicts, the bulk query (its passing-through index and its
-queries). Both compute the cross products of orientation() inline, with
+queries, which answer with a bitmask over the stored pairs' positions).
+Both compute the cross products of orientation() inline, with
 the same operands and the same ORIENT_EPS cut, so they give its answers
 exactly.
 
@@ -127,12 +128,23 @@ def coords_conflict(s1: tuple[float, float, float, float],
             or (o4 == 0 and _strictly_between(cx, cy, dx, dy, bx, by)))
 
 
+def bit_mask(ids, size: int) -> int:
+    """The bitmask of the indices `ids`, each below `size`, repeats allowed.
+    The bits go into a bytearray that is converted once, so the build is
+    linear in size."""
+    buf = bytearray((size >> 3) + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 class SegmentConflicts:
     """segments_conflict in bulk, for the segments between pairs of one set
     of distinct points.
 
-    `pairs` are (i, j) index pairs with i < j, each standing for
-    Segment(points[i], points[j]). conflicting(a, b) returns the pairs whose
+    `pairs` are distinct (i, j) index pairs with i < j, each standing for
+    Segment(points[i], points[j]); a pair's id is its position in `pairs`.
+    conflicting(a, b) returns the bitmask of the ids of the pairs whose
     segments conflict with Segment(points[a], points[b]), a < b. It makes
     the tests of segments_conflict, but computes each point's side of the
     query line once per query instead of once per pair, tries a proper
@@ -147,7 +159,6 @@ class SegmentConflicts:
         self.xs = xs = [p.x for p in points]
         self.ys = ys = [p.y for p in points]
         self.pairs = list(pairs)
-        self._pair_set = frozenset(self.pairs)
         # Per axis, below[v] and upto[v] are the bitmasks of the points whose
         # coordinate is less than v's, and at most v's.
         masks = []
@@ -160,18 +171,18 @@ class SegmentConflicts:
             masks.append(([prefix[bisect_left(ordered, t)] for t in coords],
                           [prefix[bisect_right(ordered, t)] for t in coords]))
         (xbelow, xupto), (ybelow, yupto) = masks
-        # By point: the pairs ending there, its partners as a bitmask, and
-        # the pairs whose segment has it in its interior. Only the points in
-        # a segment's bounding box are tried for the last.
-        self._ending: dict[int, list[tuple[int, int]]] = {}
+        # By point: the ids of the pairs ending there, by partner; its
+        # partners as a bitmask; and the ids of the pairs whose segment has
+        # it in its interior. Only the points in a segment's bounding box
+        # are tried for the last.
+        self._ids: list[dict[int, int]] = [{} for _ in xs]
         self._partners = partners = [0] * len(xs)
-        self._through: dict[int, list[tuple[int, int]]] = {}
-        for p in self.pairs:
+        self._through: dict[int, list[int]] = {}
+        for i, p in enumerate(self.pairs):
             c, d = p
             if not c < d:
                 raise ValueError(f"pair {p} is not in (min, max) form")
-            self._ending.setdefault(c, []).append(p)
-            self._ending.setdefault(d, []).append(p)
+            self._ids[c][d] = self._ids[d][c] = i
             bc, bd = 1 << c, 1 << d
             partners[c] |= bd
             partners[d] |= bc
@@ -188,21 +199,21 @@ class SegmentConflicts:
                 cross = (dx - cx) * (vy - cy) - (dy - cy) * (vx - cx)
                 if (not (cross > ORIENT_EPS or cross < -ORIENT_EPS)
                         and _strictly_between(cx, cy, dx, dy, vx, vy)):
-                    self._through.setdefault(v, []).append(p)
+                    self._through.setdefault(v, []).append(i)
 
-    def conflicting(self, a: int, b: int) -> set[tuple[int, int]]:
+    def conflicting(self, a: int, b: int) -> int:
         xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         abx, aby = bx - ax, by - ay
-        # Identical segments, and touching: an endpoint of either segment in
-        # the other's interior.
-        out = {(a, b)} & self._pair_set
-        out.update(self._through.get(a, ()))
-        out.update(self._through.get(b, ()))
+        # The ids found, repeats allowed. Identical segments, and touching:
+        # an endpoint of either segment in the other's interior.
+        ids = self._ids
+        out = [ids[a][b]] if b in ids[a] else []
+        out += self._through.get(a, ())
+        out += self._through.get(b, ())
         # Each point's side of the query line, as the sign of
         # orientation(points[a], points[b], point): the points strictly
         # left of it, and the bitmask of those strictly right of it.
-        ending = self._ending
         left = []
         right = 0
         for v, cross in enumerate([abx * (y - ay) - aby * (x - ax) for x, y in zip(xs, ys)]):
@@ -210,8 +221,8 @@ class SegmentConflicts:
                 left.append(v)
             elif cross < -ORIENT_EPS:
                 right |= 1 << v
-            elif v in ending and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
-                out.update(ending[v])
+            elif ids[v] and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
+                out += ids[v].values()
         # Proper crossings: each segment's endpoints strictly straddle the
         # other. Only pairs with one endpoint on each side can straddle.
         partners = self._partners
@@ -228,5 +239,5 @@ class SegmentConflicts:
                 cb = cdx * (by - cy) - cdy * (bx - cx)
                 if ((ca > ORIENT_EPS and cb < -ORIENT_EPS)
                         or (ca < -ORIENT_EPS and cb > ORIENT_EPS)):
-                    out.add((c, d))
-        return out
+                    out.append(ids[u][w])
+        return bit_mask(out, len(self.pairs))

@@ -85,6 +85,7 @@ class TrialConfig:
         if not combination_supported(self.algorithm, self.constraints):
             raise ValueError(f"unsupported combination: {self.algorithm} under "
                              f"'{self.constraints.label}'")
+        SolveLimits(self.node_cap, self.time_cap)  # rejects invalid caps up front
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,18 @@
 
 Local search works on candidate pairs numbered by rank in (length, u, v)
 order, with sets of pairs as Python-int bitmasks over those numbers (see
-_Tables). A cut's crossing pairs are the XOR of the incident-pair masks of
-the vertices on its smaller side, masked to the hyperedge and to the
-pairs shorter than the removed edge; availability under the plane regimes
-is a mask expression over the pairs that 0 or 1 support edges conflict
-with. Set bits are walked in ascending order, which is (length, u, v)
-order, so every tie resolves as in a scan of sorted candidate lists. On a
-spanning-tree support (t and pt), the tree is kept rooted at vertex 0 with
-subtree masks and re-rooted along one path per commit, instead of searched
-afresh every round.
+_Tables, built in one pass over the vertex pairs). A cut's crossing pairs
+are the XOR of the incident-pair masks of the vertices on its smaller side,
+masked to the hyperedge and to the pairs shorter than the removed edge;
+availability under the plane regimes is a mask expression over the pairs
+that 0 or 1 support edges conflict with, counted as bit planes that every
+plane climb copies from the seed's. Set bits are walked in ascending
+order, which is (length, u, v) order, so every tie resolves as in a scan
+of sorted candidate lists. Whenever the support is a spanning tree, in
+every regime, the tree is kept rooted at vertex 0 with subtree masks and
+re-rooted along one path per commit, and each cut is read off it;
+per-hyperedge depth-first searches run only off the tree. The support
+edges stay sorted by decreasing length across commits.
 
 A swap's answer depends only on the removed edge's cuts and on which of the
 pairs crossing them are available, so a climb keeps each edge's last
@@ -35,14 +38,15 @@ shortest available pair that crosses every broken cut.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 from operator import and_
 
-from .geom import SegmentConflicts, segments_conflict
+from .geom import SegmentConflicts, bit_mask, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
                     Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import complete_with_free_edges, emst, emst_order, star_support
@@ -191,15 +195,6 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     return SolveReport(support, total_length(support, h), passes)
 
 
-def _mask(ids, size: int) -> int:
-    """The bitmask of the indices `ids`, each below `size`. The bits go into
-    a bytearray that is converted once, so the build is linear in size."""
-    buf = bytearray((size >> 3) + 1)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
 class _Tables:
     """Regime-independent data of one hypergraph, shared by every climb of a
     local_search call.
@@ -211,26 +206,41 @@ class _Tables:
     within[s] holds hyperedge s's pairs and incident[v] the pairs ending at
     v. A pair of a caller's seed that no hyperedge holds is indexed after
     every candidate on first use and lies in no mask. conflicts_of(x)
-    gives the stored pairs whose segments conflict with edge x.
+    gives the stored pairs whose segments conflict with edge x, and
+    seed_counts() how many of the seed's edges each one conflicts with.
     """
 
     def __init__(self, h: Hypergraph, seed: SupportGraph):
         self.h = h
-        held: dict[Edge, int] = {}
+        n = h.n
+        xs = [p.x for p in h.vertices]
+        ys = [p.y for p in h.vertices]
+        # By vertex, the bitmask of the hyperedges holding it: a pair is a
+        # candidate when some hyperedge holds both ends.
+        mh = [0] * n
         for s, members in enumerate(h.hyperedges):
-            mem = sorted(members)
-            bit = 1 << s
-            for i, a in enumerate(mem):
-                for b in mem[i + 1:]:
-                    held[a, b] = held.get((a, b), 0) | bit
-        ranked = sorted((h.edge_length(a, b), a, b) for a, b in held)
-        self.plen: list[float] = [w for w, _, _ in ranked]
-        self.pairs: list[Edge] = [(a, b) for _, a, b in ranked]
-        self.held: list[int] = list(map(held.get, self.pairs))
+            for v in members:
+                mh[v] |= 1 << s
+        hypot = math.hypot
+        lens, ends, helds = [], [], []
+        for a in range(n):
+            ma, ax, ay = mh[a], xs[a], ys[a]
+            for b in range(a + 1, n):
+                held = ma & mh[b]
+                if held:
+                    lens.append(hypot(xs[b] - ax, ys[b] - ay))  # h.edge_length(a, b)
+                    ends.append((a, b))
+                    helds.append(held)
+        # The pairs come in (u, v) order and the sort is stable, so equal
+        # lengths stay in (u, v) order.
+        order = sorted(range(len(lens)), key=lens.__getitem__)
+        self.plen: list[float] = list(map(lens.__getitem__, order))
+        self.pairs: list[Edge] = list(map(ends.__getitem__, order))
+        self.held: list[int] = list(map(helds.__getitem__, order))
         self.index: dict[Edge, int] = dict(zip(self.pairs, count()))
         self.ncand = size = len(self.pairs)
         # One pass sets each pair's bit in the bytes of its two ends.
-        by_vertex = [bytearray((size >> 3) + 1) for _ in range(h.n)]
+        by_vertex = [bytearray((size >> 3) + 1) for _ in range(n)]
         for i, (a, b) in enumerate(self.pairs):
             byte, bit = i >> 3, 1 << (i & 7)
             by_vertex[a][byte] |= bit
@@ -249,9 +259,9 @@ class _Tables:
         self.common = {m: reduce(and_, [self.within[s] for s in hs])
                        for m, hs in self.split.items()}
         self.split[0] = ()
-        self.members = [_mask(m, h.n) for m in h.hyperedges]  # vertex bitmasks
+        self.members = [bit_mask(m, n) for m in h.hyperedges]  # vertex bitmasks
         self._pair_conflicts: dict[tuple[Edge, Edge], bool] = {}
-        self._conflicts: dict[Edge, tuple[int, tuple[int, ...]]] = {}
+        self._conflicts: dict[Edge, int] = {}
         # A replacement pair is strictly shorter than the edge it replaces,
         # so no climb from `seed`, or from a support climbed from it, ever
         # adds a pair longer than seed's longest edge: conflicts_of leaves
@@ -259,9 +269,11 @@ class _Tables:
         # adds either, so that is_plane can decide the seed's own planarity
         # from the same sets (two equally long longest edges may cross).
         # The stored pairs are the first `stored` candidates.
+        self.seed = seed
         longest = max((self.length(e) for e in seed.edges), default=0.0)
         self.stored = bisect_right(self.plen, longest, 0, size)
         self._bulk = None
+        self._seed_counts = None
 
     def index_of(self, e: Edge) -> int:
         i = self.index.get(e)
@@ -278,9 +290,11 @@ class _Tables:
     def hyps(self, e: Edge) -> tuple[int, ...]:
         return self.split[self.held[self.index_of(e)]]
 
-    def crossing(self, side: int, members: int, within: int, w: float) -> int:
-        """The pairs of `within`, pairs inside the vertex bitmask `members`,
-        shorter than w - _STRICT_EPS and with exactly one end in `side`."""
+    def crossing(self, side: int, members: int, w: float) -> int:
+        """Among the pairs with both ends in the vertex bitmask `members`,
+        those shorter than w - _STRICT_EPS with exactly one end in `side`, a
+        subset of members. Pairs with an end outside members may show up
+        too; callers mask them out."""
         rest = members ^ side
         if rest.bit_count() < side.bit_count():
             side = rest
@@ -289,7 +303,7 @@ class _Tables:
             low = side & -side
             out ^= self.incident[low.bit_length() - 1]
             side ^= low
-        return out & within & (1 << bisect_left(self.plen, w - _STRICT_EPS, 0, self.ncand)) - 1
+        return out & (1 << bisect_left(self.plen, w - _STRICT_EPS, 0, self.ncand)) - 1
 
     def conflict(self, e1: Edge, e2: Edge) -> bool:
         key = (e1, e2) if e1 <= e2 else (e2, e1)
@@ -299,24 +313,46 @@ class _Tables:
                                                                 self.h.segment(*e2))
         return hit
 
-    def conflicts_of(self, x: Edge) -> tuple[int, tuple[int, ...]]:
-        """The stored pairs whose segments conflict with edge x, as a
-        bitmask and as a tuple of indices."""
+    def conflicts_of(self, x: Edge) -> int:
+        """The bitmask of the stored pairs whose segments conflict with edge
+        x; the bulk index numbers them by their index here."""
         out = self._conflicts.get(x)
         if out is None:
             if self._bulk is None:
                 self._bulk = SegmentConflicts(self.h.vertices, self.pairs[:self.stored])
-            ids = tuple(map(self.index.__getitem__, self._bulk.conflicting(*x)))
-            out = self._conflicts[x] = (_mask(ids, self.stored), ids)
+            out = self._conflicts[x] = self._bulk.conflicting(*x)
         return out
+
+    def seed_counts(self) -> tuple[int, ...]:
+        """For each stored pair, how many seed edges conflict with it, as
+        bit planes: bit i of plane b is bit b of pair i's count. Built on
+        first use; every plane climb starts from a copy."""
+        if self._seed_counts is None:
+            planes: list[int] = []
+            for x in self.seed.edges:
+                _add_count(planes, self.conflicts_of(x), 1)
+            self._seed_counts = tuple(planes)
+        return self._seed_counts
 
     def is_plane(self, edges) -> bool:
         """model.is_plane's answer for `edges`, candidate pairs no longer
         than the seed's longest edge (the seed's own edges, for instance):
         no edge's conflicts_of set holds another of them."""
         ids = {e: self.index_of(e) for e in edges}
-        mask = _mask(ids.values(), len(self.pairs))
-        return all(self.conflicts_of(e)[0] & mask & ~(1 << i) == 0 for e, i in ids.items())
+        mask = bit_mask(ids.values(), len(self.pairs))
+        return all(self.conflicts_of(e) & mask & ~(1 << i) == 0 for e, i in ids.items())
+
+
+def _add_count(planes: list[int], mask: int, step: int) -> None:
+    """Add step (1 or -1) to the bit-plane counts `planes` (see
+    _Tables.seed_counts) of the pairs in `mask`, by ripple carry or
+    borrow. A count never drops below zero."""
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ mask
+        mask &= plane if step > 0 else ~plane
+        if not mask:
+            return
+    planes.append(mask)
 
 
 def _depth_first(adj: dict[int, set[int]], members) -> tuple:
@@ -365,16 +401,22 @@ def _depth_first(adj: dict[int, set[int]], members) -> tuple:
 class _Searcher:
     """Mutable local-search state shared across rounds of one climb.
 
-    Under the plane regimes blocked[i] counts the support edges that
-    conflict with stored pair i, and the bitmasks zero and one hold the
-    pairs counted 0 and 1 times. Off a spanning tree, removal cuts come from
-    one depth-first search per hyperedge (bridges of its induced subgraph),
-    kept until a commit changes an edge inside it. On a spanning tree,
-    parent and sub keep the tree rooted at vertex 0 (sub[v]: the vertex
-    bitmask of v's subtree, the side that removing v's parent edge cuts
-    off); they are built when the support becomes a tree, updated by every
-    commit and dropped when it stops being one. memo keeps each evaluated
-    edge's last swap evaluation (see _best_swap).
+    order holds the support edges as (-length, edge), sorted: run_round's
+    scan order, updated by every commit. Under the plane regimes counts
+    holds, as in _Tables.seed_counts, how many support edges conflict with
+    each stored pair; it starts from a copy of the seed's counts. The
+    bitmasks zero and one hold the pairs counted 0 and 1 times.
+
+    Whenever the support is a spanning tree (n - 1 edges, connected), in
+    every regime, parent and sub keep it rooted at vertex 0 (sub[v]: the
+    vertex bitmask of v's subtree, the side that removing v's parent edge
+    cuts off); they are built when the support becomes a tree, updated by
+    every commit and dropped when it stops being one. Removing a tree edge
+    breaks every hyperedge holding it, and each one's cut is the subtree
+    side less the vertices outside it. Off a spanning tree, removal cuts
+    come from one depth-first search per hyperedge (bridges of its induced
+    subgraph), kept until a commit changes an edge inside it. memo keeps
+    each evaluated edge's last swap evaluation (see _best_swap).
     """
 
     def __init__(self, tables: _Tables, c: ConstraintSet, start_edges):
@@ -387,42 +429,46 @@ class _Searcher:
             u, v = e
             self.adj[u].add(v)
             self.adj[v].add(u)
-            tables.index_of(e)
+        self.order = sorted((-tables.length(e), e) for e in self.edges)
         # Per edge: (cuts, crossing pairs, available pairs, answer).
         self.memo: dict[Edge, tuple] = {}
         # Depth-first searches by hyperedge; dropped when a commit changes
         # what they searched.
         self._searches: dict[int, tuple] = {}
         if c.require_plane:
-            nbytes = (tables.stored >> 3) + 1
-            self.blocked = [0] * tables.stored
-            self._zero, self._one = bytearray(b"\xff") * nbytes, bytearray(nbytes)
-            self._block(self.edges, 1)
+            seed = tables.seed.edges
+            self.counts = list(tables.seed_counts())
+            self._recount(self.edges - seed, seed - self.edges)
         self.parent = self.sub = None
         self._note_shape()
 
-    def _block(self, edges, step: int) -> None:
-        """Add step to the blocked counts of the pairs conflicting with each
-        of `edges`, then rebuild zero and one from their bytes."""
-        blocked, zero, one = self.blocked, self._zero, self._one
-        for x in edges:
-            for i in self.t.conflicts_of(x)[1]:
-                count = blocked[i] = blocked[i] + step
-                byte, bit = i >> 3, 1 << (i & 7)
-                zero[byte] = zero[byte] | bit if count == 0 else zero[byte] & ~bit
-                one[byte] = one[byte] | bit if count == 1 else one[byte] & ~bit
-        self.zero = int.from_bytes(zero, "little")
-        self.one = int.from_bytes(one, "little")
+    def _recount(self, added, removed) -> None:
+        """Count the conflicts of the `added` edges in and those of the
+        `removed` edges out, then rebuild zero and one."""
+        counts = self.counts
+        for x in added:
+            _add_count(counts, self.t.conflicts_of(x), 1)
+        for x in removed:
+            _add_count(counts, self.t.conflicts_of(x), -1)
+        more = 0  # the pairs counted at least twice
+        for plane in counts[1:]:
+            more |= plane
+        low = counts[0] if counts else 0
+        self.one = low & ~more
+        self.zero = (1 << self.t.stored) - 1 & ~(low | more)
 
     def _note_shape(self) -> None:
-        # An acyclic support with n - 1 edges is a spanning tree: removing
-        # an edge splits it in two.
-        self.tree = self.c.require_acyclic and len(self.edges) == self.h.n - 1
-        if not self.tree:
+        # A support with n - 1 edges is a spanning tree iff it is connected;
+        # one kept through a commit stays one while it has n - 1 edges.
+        n = self.h.n
+        if len(self.edges) != n - 1:
             self.parent = self.sub = None
         elif self.parent is None:
-            pos, end, self.parent, _, prefix = _depth_first(self.adj, range(self.h.n))
-            self.sub = [prefix[end[v]] ^ prefix[pos[v]] for v in range(self.h.n)]
+            pos, end, parent, _, prefix = _depth_first(self.adj, range(n))
+            if len(prefix) == n + 1:  # the search reached every vertex
+                self.parent = parent
+                self.sub = [prefix[end[v]] ^ prefix[pos[v]] for v in range(n)]
+        self.tree = self.parent is not None
 
     def current_support(self) -> SupportGraph:
         return SupportGraph(frozenset(self.edges))
@@ -480,8 +526,9 @@ class _Searcher:
         constraint set. An empty tuple means e is simply redundant.
 
         e's cuts are computed on every call. On a spanning tree they are one
-        side, the subtree below e, and the crossing pairs are those that lie
-        in every hyperedge holding e. Elsewhere they are _cuts(e). The
+        side, the subtree below e, and the crossing pairs are those across
+        it: inside every hyperedge holding e under t and pt, inside each
+        such hyperedge under u and p. Elsewhere they are _cuts(e). The
         answer depends only on the cuts and on the available crossing
         pairs, so memo[e] keeps the last evaluation: equal cuts cross the
         same pairs, and then, under t and u (where every crossing pair is
@@ -509,10 +556,12 @@ class _Searcher:
             held, w = t.held[i], t.plen[i]
             if not held:  # a seed pair that no hyperedge holds
                 return (w, ())
-            if self.tree:
-                crossing = [t.crossing(cuts, (1 << self.h.n) - 1, t.common[held], w)]
+            if not self.tree:
+                crossing = [t.crossing(side, t.members[s], w) & t.within[s] for s, side in cuts]
             else:
-                crossing = [t.crossing(side, t.members[s], t.within[s], w) for s, side in cuts]
+                across = t.crossing(cuts, (1 << self.h.n) - 1, w)
+                crossing = ([across & t.common[held]] if self.c.require_acyclic
+                            else [across & t.within[s] for s in t.split[held]])
         available = self._available(e, crossing)
         if hit is not None and hit[2] == available:
             return hit[3]
@@ -532,7 +581,7 @@ class _Searcher:
         for x in crossing:
             pool |= x
         if self.c.require_plane:
-            pool &= self.zero | self.one & self.t.conflicts_of(e)[0]
+            pool &= self.zero | self.one & self.t.conflicts_of(e)
         return pool
 
     def _shortest_pair(self, len_e: float, pool: int):
@@ -617,14 +666,11 @@ class _Searcher:
         can never gain more than the removed edge's length). Returns False
         and leaves the support untouched when no swap strictly improves it.
         """
-        t = self.t
-        plen, index = t.plen, t.index
-        order = sorted(self.edges, key=lambda ed: (-plen[index[ed]], ed))
         best_gain = None
         best_e = None
         best_repl = None
-        for e in order:
-            if best_gain is not None and plen[index[e]] < best_gain - _TIE_EPS:
+        for neg_w, e in self.order:
+            if best_gain is not None and -neg_w < best_gain - _TIE_EPS:
                 break
             res = self._best_swap(e)
             if res is None:
@@ -639,22 +685,24 @@ class _Searcher:
         if best_e is None:
             return False
 
+        t = self.t
         self.edges.remove(best_e)
         self.adj[best_e[0]].discard(best_e[1])
         self.adj[best_e[1]].discard(best_e[0])
+        del self.order[bisect_left(self.order, (-t.length(best_e), best_e))]
         touched = set(t.hyps(best_e))
         for r in best_repl:
             self.edges.add(r)
             self.adj[r[0]].add(r[1])
             self.adj[r[1]].add(r[0])
+            insort(self.order, (-t.length(r), r))
             touched.update(t.hyps(r))
         for s in touched:
             self._searches.pop(s, None)
         if self.tree and len(best_repl) == 1:
             self._reroot(best_e, best_repl[0])
         if self.c.require_plane:
-            self._block([best_e], -1)
-            self._block(best_repl, 1)
+            self._recount(best_repl, [best_e])
         self._note_shape()
         return True
 
@@ -693,18 +741,17 @@ def _stricter(c: ConstraintSet) -> tuple[ConstraintSet, ...]:
 
 def _star_seed(h: Hypergraph):
     """The star seed, its _Tables, and fits(r): whether the seed satisfies
-    regime r. fits gives model.satisfies' answer; support and acyclicity go
-    through satisfies, and planarity is read off the conflicts_of sets that
-    the plane climbs from the seed query anyway. Raises EmptyCoreError when
-    the core is empty."""
+    regime r, model.satisfies' answer. With a nonempty core the star is
+    always a spanning-tree support (see mst.star_support), so only
+    planarity can fail. It is decided once, on the first plane regime
+    asked about, from the conflicts_of sets that the plane climbs from the
+    seed query anyway. Raises EmptyCoreError when the core is empty."""
     seed = star_support(h)
     tables = _Tables(h, seed)
-    tree = satisfies(seed, h, TREE)
+    plane = cache(lambda: tables.is_plane(seed.edges))
 
     def fits(r: ConstraintSet) -> bool:
-        if r.require_plane and not tables.is_plane(seed.edges):
-            return False
-        return tree or (not r.require_acyclic and satisfies(seed, h, UNRESTRICTED))
+        return not r.require_plane or plane()
 
     return seed, tables, fits
 

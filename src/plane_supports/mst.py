@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from .geom import distance
 from .model import Edge, Hypergraph, SupportGraph, edge_key
 
 
@@ -140,18 +139,25 @@ def star_support(h: Hypergraph) -> SupportGraph:
     """EMST of the core plus a spoke from each remaining vertex to its
     nearest core vertex (ties broken by smallest id).
 
-    The result is a plane support tree whenever no three vertices are
-    collinear. Raises EmptyCoreError when no vertex lies in every hyperedge.
+    The result is always a spanning tree (|core| - 1 core edges and one
+    spoke per other vertex) and a support: each hyperedge holds the whole
+    core and the core end of each of its vertices' spokes. It is plane
+    whenever no three vertices are collinear. Raises EmptyCoreError when no
+    vertex lies in every hyperedge.
     """
     core = h.core()
     if not core:
         raise EmptyCoreError("no vertex occurs in all hyperedges")
     edges = set(emst(core, h).edges)
-    core_sorted = sorted(core)
     pos = h.vertices
-    for v in range(h.n):
+    spots = [(pos[c].x, pos[c].y, c) for c in sorted(core)]
+    hypot = math.hypot
+    for v, p in enumerate(pos):
         if v in core:
             continue
-        target = min(core_sorted, key=lambda c: (distance(pos[v], pos[c]), c))
+        # (h.edge_length(v, c), c) for each core vertex c, so that the
+        # minimum breaks ties by smallest id.
+        vx, vy = p.x, p.y
+        _, target = min([(hypot(x - vx, y - vy), c) for x, y, c in spots])
         edges.add(edge_key(v, target))
     return SupportGraph(frozenset(edges))

@@ -57,8 +57,8 @@ def test_bulk_walk_and_float_pairs_match_the_pairwise_predicate(layout, data):
     queries = data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=8))
     for a, b in queries:
         query = Segment(points[a], points[b])
-        expected = {(i, j) for i, j in pairs
-                    if segments_conflict(query, Segment(points[i], points[j]))}
+        expected = sum(1 << pid for pid, (i, j) in enumerate(pairs)
+                       if segments_conflict(query, Segment(points[i], points[j])))
         assert bulk.conflicting(a, b) == expected, (a, b)
 
     h = Hypergraph(tuple(points), (frozenset(range(n)),))

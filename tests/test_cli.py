@@ -179,6 +179,23 @@ def test_flag_combination_errors_name_the_algorithm(tmp_path, capsys):
                "--time-cap", "10", "--out", str(out)) == 0
 
 
+def test_invalid_caps_exit_one(tmp_path, capsys):
+    hg_path = tmp_path / "x.hg"
+    hg_path.write_text(X_CONFIG_HG)
+    out = tmp_path / "x.sup"
+    for flag, value, name in (("--time-cap", "nan", "time cap"), ("--time-cap", "-1", "time cap"),
+                              ("--node-cap", "-5", "node cap")):
+        assert run("solve", "--in", str(hg_path), "--algo", "exact", flag, value,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be") and err.count("\n") == 1, err
+        assert run("bench", "--n", "6", "--k", "2", "--scheme", "low", "--algo", "exact",
+                   "--constraints", "u", "--trials", "1", "--seed", "1",
+                   "--out", str(tmp_path / "b.csv"), flag, value) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+    assert not out.exists()
+
+
 def test_repeated_main_calls_reuse_one_parser(tmp_path, monkeypatch, capsys):
     used = []
     parse_args = cli._Parser.parse_args

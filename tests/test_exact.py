@@ -8,6 +8,7 @@ from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededEr
                                   SolveLimits, _greedy_support, brute_force_oracle,
                                   build_model, emit_lp, solve_exact)
 from plane_supports.gen import DegreeScheme, generate
+from plane_supports.harness import TrialConfig
 from plane_supports.heuristics import mst_approximation
 from plane_supports.geom import segments_conflict
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, Hypergraph,
@@ -168,6 +169,19 @@ def test_node_cap_returns_unproven_incumbent():
     full = solve_exact(h, UNRESTRICTED)
     assert full.proven_optimal
     assert full.length <= res.length + 1e-9
+
+
+def test_invalid_caps_are_rejected():
+    # A NaN time cap never compares greater than the elapsed time, so it
+    # would be ignored: the search would run uncapped.
+    for kwargs in ({"time_cap": math.nan}, {"time_cap": -1.0}, {"node_cap": -5},
+                   {"node_cap": math.nan}):
+        with pytest.raises(ValueError, match="cap must be"):
+            SolveLimits(**kwargs)
+    assert SolveLimits(node_cap=0, time_cap=0.0) == SolveLimits(0, 0.0)
+    assert SolveLimits(time_cap=math.inf).time_cap == math.inf
+    with pytest.raises(ValueError, match="time cap"):
+        TrialConfig(n=8, k=2, scheme=DegreeScheme.LOW, algorithm="exact", time_cap=math.nan)
 
 
 # (n, k, seed of a MID instance, regime, node cap) -> (node ceiling, nodes

@@ -155,8 +155,8 @@ def test_bulk_conflicts_match_pairwise_predicate():
         for a in range(len(points)):
             for b in range(a + 1, len(points)):
                 query = Segment(points[a], points[b])
-                expected = {(i, j) for i, j in pairs
-                            if segments_conflict(query, Segment(points[i], points[j]))}
+                expected = sum(1 << pid for pid, (i, j) in enumerate(pairs)
+                               if segments_conflict(query, Segment(points[i], points[j])))
                 assert bulk.conflicting(a, b) == expected, (trial, a, b)
 
 
@@ -269,8 +269,8 @@ def test_bulk_conflicts_match_orientation_reference():
         for a in range(len(points)):
             for b in range(a + 1, len(points)):
                 query = Segment(points[a], points[b])
-                expected = {(i, j) for i, j in pairs
-                            if _reference_conflict(query, Segment(points[i], points[j]))}
+                expected = sum(1 << pid for pid, (i, j) in enumerate(pairs)
+                               if _reference_conflict(query, Segment(points[i], points[j])))
                 assert bulk.conflicting(a, b) == expected, (kind, a, b)
 
 

@@ -682,24 +682,25 @@ def _forest_instance(rng):
 
 
 def test_mask_layer_matches_list_scan(monkeypatch):
-    # Every edge evaluated off the spanning-tree path gets the crossing set,
-    # the available set and the swap of the list scans that the bitmasks
-    # replace: in p and u climbs from the star, and in t and pt climbs from
-    # forest seeds, whose one-pair answers the reference finds by a cut
-    # cover with a union-find. The grids have many equal lengths.
+    # Every edge evaluated by u and p, on and off the spanning tree, and by
+    # t and pt off it gets the crossing set, the available set and the swap
+    # of the list scans that the bitmasks replace. The reference cuts are
+    # the depth-first search's bridges. t and pt climbs from forest seeds
+    # are never on a tree, and their one-pair answers the reference finds
+    # by a cut cover with a union-find. The grids have many equal lengths.
     fresh = _Searcher._best_swap
     evaluated = []
 
     def checked(self, e):
         res = fresh(self, e)
-        if self.tree:
-            return res
+        if self.tree and self.c.require_acyclic:
+            return res  # see test_tree_swap_matches_general_cover
         broken = self._cuts(e)
         if not broken:
             assert res == (self.t.length(e), ())
             return res
         t, w = self.t, self.t.length(e)
-        masks = [t.crossing(side, t.members[s], t.within[s], w) for s, side in broken]
+        masks = [t.crossing(side, t.members[s], w) & t.within[s] for s, side in broken]
         crossing = _list_crossing(self.t, e, broken)
         pairs = self.t.pairs
         assert {pairs[j]: sum(1 << b for b, x in enumerate(masks) if x >> j & 1)
@@ -708,14 +709,15 @@ def test_mask_layer_matches_list_scan(monkeypatch):
         now = self._available(e, masks)
         assert {pairs[j] for j in range(now.bit_length()) if now >> j & 1} == available
         assert res == _list_cover(self, e, len(broken), crossing, available)
-        evaluated.append(self.c.label)
+        evaluated.append((self.c.label, self.tree))
         return res
 
     monkeypatch.setattr(_Searcher, "_best_swap", checked)
     rng = random.Random(61)
     pool = [generate(n, k, DegreeScheme.MID, random.Random(seed))
-            for n, k, seed in [(12, 3, s) for s in range(4)] + [(16, 4, s) for s in range(4)]]
-    pool += [_grid_instance(rng) for _ in range(6)]
+            for n, k, seed in [(12, 3, s) for s in range(4)] + [(16, 4, s) for s in range(4)]
+            + [(20, 5, s) for s in range(6)]]
+    pool += [_grid_instance(rng) for _ in range(10)]
     for h in pool:
         star = star_support(h)
         for c in (UNRESTRICTED, PLANE):
@@ -727,13 +729,24 @@ def test_mask_layer_matches_list_scan(monkeypatch):
             assert satisfies(star, h, c)
             local_search_seeded(h, star, c)
     counts = Counter(evaluated)
-    assert counts["u"] > 200 and counts["p"] > 200
-    assert counts["t"] > 200 and counts["pt"] > 200
+    assert counts["u", False] > 200 and counts["p", False] > 200, counts
+    assert counts["u", True] > 200 and counts["p", True] > 200, counts
+    assert counts["t", False] > 200 and counts["pt", False] > 200, counts
+
+
+def _spanning_tree(searcher):
+    """Whether the support has n - 1 edges and reaches every vertex."""
+    n = searcher.h.n
+    return len(searcher.edges) == n - 1 and len(_depth_first(searcher.adj, range(n))[4]) == n + 1
 
 
 def _tree_sides_agree(searcher):
-    """Each tree edge's kept side, the subtree below it, equals the
-    depth-first search's."""
+    """The searcher keeps a tree exactly when the support is a spanning
+    tree, and then each tree edge's kept side, the subtree below it, equals
+    the depth-first search's."""
+    assert searcher.tree == _spanning_tree(searcher)
+    if not searcher.tree:
+        return
     pos, end, parent, _, prefix = _depth_first(searcher.adj, range(searcher.h.n))
     kept_parent, sub = searcher.parent, searcher.sub
     for u, v in searcher.edges:
@@ -744,8 +757,12 @@ def _tree_sides_agree(searcher):
 
 @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 def test_kept_tree_matches_depth_first():
-    # The rooted tree kept across the commits of t and pt climbs gives every
-    # tree edge the side that a fresh search of the support gives.
+    # The rooted tree kept across the commits of climbs in every regime
+    # gives every tree edge the side that a fresh search of the support
+    # gives. Under u and p a commit may add two or three pairs, which ends
+    # the tree, and a later one may remove a redundant edge again.
+    seen = Counter()
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def check(data):
@@ -756,7 +773,7 @@ def test_kept_tree_matches_depth_first():
             h = generate(data.draw(st.integers(5, 30)), data.draw(st.integers(2, 4)),
                          DegreeScheme.MID, random.Random(seed))
         star = star_support(h)
-        for c in (TREE, PLANE_TREE):
+        for c in ALL_CONSTRAINTS:
             if not satisfies(star, h, c):
                 continue
             searcher = _Searcher(_Tables(h, star), c, star.edges)
@@ -764,5 +781,168 @@ def test_kept_tree_matches_depth_first():
             _tree_sides_agree(searcher)
             while searcher.run_round():
                 _tree_sides_agree(searcher)
+                seen[c.label, searcher.tree] += 1
 
     check()
+    assert all(seen[label, True] for label in ("u", "p", "t", "pt")), seen
+
+
+def test_disconnected_support_with_n_minus_1_edges_is_no_tree():
+    # Three far-apart groups spanned by their own stars, plus two pairs that
+    # close a cycle inside a group: n - 1 edges, yet not a spanning tree, so
+    # the climb must take its cuts from the depth-first searches, and it
+    # equals the round-by-round replay.
+    rng = random.Random(67)
+    climbs = 0
+    for _ in range(6):
+        h, star = _forest_instance(rng)
+        extra = [e for e in _Tables(h, star).pairs if e not in star.edges][:2]
+        g = SupportGraph.from_pairs(sorted(star.edges) + extra)
+        assert len(g.edges) == h.n - 1
+        for c in (UNRESTRICTED, PLANE):
+            if not satisfies(g, h, c):
+                continue
+            searcher = _Searcher(_Tables(h, g), c, g.edges)
+            assert not searcher.tree and not _spanning_tree(searcher)
+            rep = local_search_seeded(h, g, c)
+            assert (rep.support, rep.rounds_or_passes) == _replay(h, g, c), c.label
+            climbs += 1
+    assert climbs >= 6
+
+
+def test_tree_cuts_equal_depth_first_bridges():
+    # On a spanning tree under u and p, _best_swap reads the cut of each
+    # hyperedge holding e off the kept tree, as the subtree below e less the
+    # vertices outside the hyperedge. Those are exactly the hyperedges in
+    # whose induced subgraph e is a bridge, and each cut is the side that
+    # the depth-first search cuts off, or the rest of the hyperedge.
+    rng = random.Random(23)
+    pool = [generate(n, k, DegreeScheme.MID, random.Random(400 + i))
+            for i, (n, k) in enumerate([(12, 3), (16, 4), (20, 5), (24, 3)] * 3)]
+    pool += [_grid_instance(rng) for _ in range(8)]
+    compared = 0
+    for h in pool:
+        star = star_support(h)
+        for c in (UNRESTRICTED, PLANE):
+            if not satisfies(star, h, c):
+                continue
+            searcher = _Searcher(_Tables(h, star), c, star.edges)
+            while searcher.tree:
+                t = searcher.t
+                for u, v in sorted(searcher.edges):
+                    kept = searcher.sub[v] if searcher.parent[v] == u else searcher.sub[u]
+                    bridges = searcher._cuts((u, v))
+                    assert [s for s, _ in bridges] == list(t.hyps((u, v)))
+                    for s, side in bridges:
+                        assert kept & t.members[s] in (side, t.members[s] ^ side)
+                        compared += 1
+                if not searcher.run_round():
+                    break
+    assert compared > 1000
+
+
+def _reference_tables(h, seed):
+    """_Tables' pair data built the way it was before the one-pass build:
+    each pair's held mask from the hyperedges' member lists, ranked by
+    (h.edge_length, u, v) tuples. Returns (pairs, plen, held, index,
+    incident, within, common, stored)."""
+    held = {}
+    for s, members in enumerate(h.hyperedges):
+        mem = sorted(members)
+        for i, a in enumerate(mem):
+            for b in mem[i + 1:]:
+                held[a, b] = held.get((a, b), 0) | 1 << s
+    ranked = sorted((h.edge_length(a, b), a, b) for a, b in held)
+    plen = [w for w, _, _ in ranked]
+    pairs = [(a, b) for _, a, b in ranked]
+    held_of = [held[e] for e in pairs]
+    index = {e: i for i, e in enumerate(pairs)}
+    incident = [sum(1 << i for i, e in enumerate(pairs) if v in e) for v in range(h.n)]
+    within = [sum(1 << i for i, (a, b) in enumerate(pairs) if a in m and b in m)
+              for m in h.hyperedges]
+    common = {}
+    for m in set(held_of):
+        mask = -1
+        for s in range(h.k):
+            if m >> s & 1:
+                mask &= within[s]
+        common[m] = mask
+    longest = max((h.edge_length(*e) for e in seed.edges), default=0.0)
+    stored = sum(w <= longest for w in plen)
+    return pairs, plen, held_of, index, incident, within, common, stored
+
+
+def test_one_pass_tables_match_the_reference_build():
+    # The lengths are compared bit for bit (float.hex), and a seed pair that
+    # no hyperedge holds still gets the next index, after every candidate.
+    rng = random.Random(31)
+    cases = [(generate(n, k, scheme, random.Random(500 + i)), None)
+             for i, (n, k, scheme) in enumerate(
+                 (n, k, scheme) for n in (3, 9, 25, 40) for k in (1, 3, 5)
+                 for scheme in DegreeScheme)]
+    cases += [(_grid_instance(rng), None) for _ in range(10)]
+    cases += [_bridged_instance(seed)[:2] for seed in range(4)]  # a seed pair in no hyperedge
+    outside = 0
+    for h, seed in cases:
+        if seed is None:
+            seed = star_support(h) if h.core() else mst_iteration(h).support
+        tables = _Tables(h, seed)
+        pairs, plen, held, index, incident, within, common, stored = _reference_tables(h, seed)
+        m = tables.ncand
+        assert m == len(pairs) and tables.pairs[:m] == pairs
+        assert [w.hex() for w in tables.plen[:m]] == [w.hex() for w in plen]
+        assert tables.held[:m] == held
+        assert {e: tables.index[e] for e in pairs} == index
+        assert tables.incident == incident and tables.within == within
+        assert {m: tables.common[m] for m in common} == common
+        assert tables.stored == stored
+        # The seed's pairs that no hyperedge holds, indexed while the seed's
+        # longest edge was found, after every candidate.
+        extra = {e for e in seed.edges if e not in index}
+        assert set(tables.pairs[m:]) == extra and len(tables.pairs) == m + len(extra)
+        outside += len(extra)
+        for i in range(m, len(tables.pairs)):
+            e = tables.pairs[i]
+            assert tables.index[e] == tables.index_of(e) == i and tables.held[i] == 0
+            assert tables.plen[i].hex() == h.edge_length(*e).hex()
+        assert len(tables.index) == len(tables.pairs)
+    assert outside == 4
+
+
+def _plane_counts(searcher):
+    """Per stored pair, the number of support edges whose segments conflict
+    with it, counted pairwise."""
+    h, t = searcher.h, searcher.t
+    return [sum(segments_conflict(h.segment(*t.pairs[i]), h.segment(*x)) for x in searcher.edges)
+            for i in range(t.stored)]
+
+
+def test_copied_seed_counts_equal_a_fresh_count():
+    # A plane climb starts from a copy of the seed's conflict counts, moved
+    # by the edges its start adds to the seed and drops from it; the counts,
+    # zero and one equal a fresh pairwise count, before and after each round.
+    climbs = 0
+    for i in range(12):
+        h = generate(10 + i, 2 + i % 3, DegreeScheme.MID, random.Random(800 + i))
+        star = star_support(h)
+        if not satisfies(star, h, PLANE_TREE):
+            continue
+        tables = _Tables(h, star)
+        starts = [star, local_search_seeded(h, star, PLANE_TREE).support]
+        for c, start in [(PLANE, star), (PLANE_TREE, star), (PLANE, starts[1])]:
+            searcher = _Searcher(tables, c, start.edges)
+            climbs += 1
+            while True:
+                fresh = _plane_counts(searcher)
+                kept = [sum((plane >> j & 1) << b for b, plane in enumerate(searcher.counts))
+                        for j in range(tables.stored)]
+                assert kept == fresh
+                assert [searcher.zero >> j & 1 for j in range(tables.stored)] == \
+                    [int(n == 0) for n in fresh]
+                assert [searcher.one >> j & 1 for j in range(tables.stored)] == \
+                    [int(n == 1) for n in fresh]
+                assert searcher.zero >> tables.stored == 0
+                if not searcher.run_round():
+                    break
+        assert tables.seed_counts() is tables.seed_counts()
+    assert climbs >= 24

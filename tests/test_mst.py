@@ -216,3 +216,57 @@ def test_determinism():
     b = emst(ids, h)
     assert a == b
     assert star_support(h) == star_support(h)
+
+
+def _rows(rng, n):
+    """n points on one to three horizontal rows with integer x, so that
+    many triples are collinear and many spokes overlap."""
+    rows = rng.randint(1, 3)
+    cells = rng.sample([(x, y) for x in range(20) for y in range(rows)], n)
+    return [(float(x), float(y)) for x, y in cells]
+
+
+def _cover(rng, n, k, core):
+    """k hyperedges over n vertices that together cover them, each with
+    vertex 0 when `core` (a nonempty core) and otherwise random."""
+    sets = [set() for _ in range(k)]
+    for v in range(n):
+        sets[rng.randrange(k)].add(v)
+        for s in sets:
+            if rng.random() < 0.3:
+                s.add(v)
+    for s in sets:
+        if core or not s:
+            s.add(0)
+    return sets
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_star_is_a_spanning_tree_support_whenever_the_core_is_nonempty():
+    # heuristics._star_seed relies on this and checks only the star's
+    # planarity: |core| - 1 core edges plus one spoke per other vertex, and
+    # every hyperedge holds the core and its vertices' spokes' core ends.
+    from plane_supports.model import TREE, satisfies
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        layout = data.draw(st.sampled_from(("scheme", "grid", "rows")))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if layout == "scheme":
+            h = generate(data.draw(st.integers(2, 30)), data.draw(st.integers(1, 5)),
+                         data.draw(st.sampled_from(list(DegreeScheme))), rng)
+        else:
+            n = data.draw(st.integers(1, 20))
+            points = (_rows(rng, n) if layout == "rows"
+                      else rng.sample([(x, y) for x in range(6) for y in range(6)], n))
+            h = hg(points, _cover(rng, n, data.draw(st.integers(1, 4)), data.draw(st.booleans())))
+        if not h.core():
+            with pytest.raises(EmptyCoreError):
+                star_support(h)
+            return
+        g = star_support(h)
+        assert len(g.edges) == h.n - 1
+        assert satisfies(g, h, TREE)
+
+    check()

@@ -14,6 +14,7 @@ import math
 import random
 from enum import Enum
 
+from .geom import Point
 from .model import Hypergraph
 
 # Second parameters of the degree-scheme normals, read as standard deviations.
@@ -89,22 +90,27 @@ def degree_array(n: int, k: int, scheme: DegreeScheme, rng: random.Random) -> li
 
 
 def _assign(n: int, k: int, counts: list[int], rng: random.Random):
-    """One attempt at step 4; returns (points, memberships) or None."""
+    """One attempt at step 4; returns (points, hyperedges as lists of vertex
+    ids) or None. `nonzero` (degrees still to place) and `underfilled`
+    (hyperedges below two members) stay ascending as vertices are placed,
+    so every draw sees the lists that a rebuild before it would give."""
     remaining = list(counts)
-    points: list[tuple[float, float]] = []
+    left = sum(remaining)
+    nonzero = [d + 1 for d in range(k) if remaining[d] > 0]
+    underfilled = list(range(k))
+    points: list[Point] = []
     seen: set[tuple[float, float]] = set()
-    memberships: list[list[int]] = []
+    hyperedges: list[list[int]] = [[] for _ in range(k)]
     sizes = [0] * k
-    while sum(remaining) > 0:
-        nonzero = [d + 1 for d in range(k) if remaining[d] > 0]
+    while left:
         deg = rng.choice(nonzero)
         while True:
             p = (rng.random() * 100.0, rng.random() * 100.0)
             if p not in seen:
                 break
         seen.add(p)
-        points.append(p)
-        underfilled = [s for s in range(k) if sizes[s] < 2]
+        v = len(points)
+        points.append(Point(*p))
         if len(underfilled) >= deg:
             mine = rng.sample(underfilled, deg)
         elif underfilled:
@@ -113,12 +119,17 @@ def _assign(n: int, k: int, counts: list[int], rng: random.Random):
         else:
             mine = rng.sample(range(k), deg)
         for s in mine:
+            hyperedges[s].append(v)
             sizes[s] += 1
-        memberships.append(sorted(mine))
+            if sizes[s] == 2:
+                underfilled.remove(s)
         remaining[deg - 1] -= 1
+        if not remaining[deg - 1]:
+            nonzero.remove(deg)
+        left -= 1
     if min(sizes) < 2:
         return None
-    return points, memberships
+    return points, hyperedges
 
 
 def generate(n: int, k: int, scheme: DegreeScheme, rng: random.Random) -> Hypergraph:
@@ -130,12 +141,8 @@ def generate(n: int, k: int, scheme: DegreeScheme, rng: random.Random) -> Hyperg
     for _ in range(_MAX_ASSIGN_ATTEMPTS):
         result = _assign(n, k, counts, rng)
         if result is not None:
-            points, memberships = result
-            hyperedges = [set() for _ in range(k)]
-            for v, mine in enumerate(memberships):
-                for s in mine:
-                    hyperedges[s].add(v)
-            return Hypergraph.build(points, hyperedges)
+            points, hyperedges = result
+            return Hypergraph(tuple(points), tuple(map(frozenset, hyperedges)))
     raise RuntimeError(f"could not assign hyperedges after {_MAX_ASSIGN_ATTEMPTS} attempts "
                        f"(n={n}, k={k}, scheme={scheme})")
 

@@ -43,13 +43,13 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import count
+from itertools import combinations, count
 from operator import and_
 
 from .geom import SegmentConflicts, bit_mask, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
                     Hypergraph, SupportGraph, satisfies, total_length)
-from .mst import complete_with_free_edges, emst, emst_order, star_support
+from .mst import complete_with_free_edges, emst_order, mst_with_free_edges, star_support
 
 # Gains below this never commit, which keeps termination independent of
 # floating-point noise; replacement members must undercut the removed edge
@@ -134,10 +134,13 @@ def _execute_sequence(h: Hypergraph, steps, trees, built,
 
 
 def mst_approximation(h: Hypergraph) -> SolveReport:
-    """Union of per-hyperedge EMSTs; a k-approximation of the optimum."""
-    trees = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in range(h.k)}
-    support = _union_support(trees)
-    return SolveReport(support, total_length(support, h), 1)
+    """Union of per-hyperedge EMSTs; a k-approximation of the optimum. The
+    length is the correctly rounded sum of the weights Prim hands out, one
+    per distinct edge, which is total_length's value."""
+    weights: dict[Edge, float] = {}
+    for members in h.hyperedges:
+        weights.update(((u, v), w) for w, u, v in mst_with_free_edges(members, (), h))
+    return SolveReport(SupportGraph(frozenset(weights)), math.fsum(weights.values()), 1)
 
 
 def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveReport:
@@ -335,12 +338,15 @@ class _Tables:
         return self._seed_counts
 
     def is_plane(self, edges) -> bool:
-        """model.is_plane's answer for `edges`, candidate pairs no longer
-        than the seed's longest edge (the seed's own edges, for instance):
-        no edge's conflicts_of set holds another of them."""
+        """model.is_plane's answer for `edges`, pairs no longer than the
+        seed's longest edge (the seed's own edges, for instance): no edge's
+        conflicts_of set holds another of them. Pairs that no hyperedge
+        holds lie in no stored mask, so those are also tested pairwise."""
         ids = {e: self.index_of(e) for e in edges}
         mask = bit_mask(ids.values(), len(self.pairs))
-        return all(self.conflicts_of(e) & mask & ~(1 << i) == 0 for e, i in ids.items())
+        extra = [e for e, i in ids.items() if i >= self.ncand]
+        return all(self.conflicts_of(e) & mask & ~(1 << i) == 0 for e, i in ids.items()) \
+            and not any(self.conflict(a, b) for a, b in combinations(extra, 2))
 
 
 def _add_count(planes: list[int], mask: int, step: int) -> None:
@@ -712,11 +718,20 @@ def local_search_round(h: Hypergraph, g: SupportGraph, c: ConstraintSet = UNREST
 
     Returns (new_support, improved); the input must already satisfy c.
     """
-    if not satisfies(g, h, c):
-        raise ValueError("input support violates the requested constraints")
-    searcher = _Searcher(_Tables(h, g), c, g.edges)
+    searcher = _Searcher(_checked_tables(h, g, c, "input support"), c, g.edges)
     improved = searcher.run_round()
     return searcher.current_support(), improved
+
+
+def _checked_tables(h: Hypergraph, g: SupportGraph, c: ConstraintSet, what: str) -> _Tables:
+    """The _Tables of a caller's support g, once g is known to satisfy c
+    (model.satisfies' answer; ValueError otherwise). Support and acyclicity
+    are checked by satisfies, planarity from the tables' conflict sets."""
+    if satisfies(g, h, TREE if c.require_acyclic else UNRESTRICTED):
+        tables = _Tables(h, g)
+        if not c.require_plane or tables.is_plane(g.edges):
+            return tables
+    raise ValueError(f"{what} violates the requested constraints")
 
 
 def _climb(tables: _Tables, c: ConstraintSet, start: SupportGraph,
@@ -811,6 +826,4 @@ def local_search_seeded(h: Hypergraph, g0: SupportGraph,
                         c: ConstraintSet = UNRESTRICTED) -> SolveReport:
     """One climb from a caller-supplied seed, without local_search's
     cascade: its result is not promised to nest across regimes."""
-    if not satisfies(g0, h, c):
-        raise ValueError("seed support violates the requested constraints")
-    return _climb(_Tables(h, g0), c, g0)
+    return _climb(_checked_tables(h, g0, c, "seed support"), c, g0)

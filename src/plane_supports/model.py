@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .geom import Point, Segment, coords_conflict, distance
+from .geom import Point, Segment, bit_mask, coords_conflict, distance
 # Re-exported, unused here: the benchmark tracer's self-test checks that it
 # rebinds this alias (bench/tests/test_bench.py).
 from .geom import segments_conflict  # noqa: F401
@@ -187,33 +187,43 @@ PLANE_TREE = ConstraintSet(True, True)
 ALL_CONSTRAINTS = (UNRESTRICTED, TREE, PLANE, PLANE_TREE)
 
 
+def _adjacency(g: SupportGraph, n: int) -> list[int]:
+    """Each vertex's neighbours in g as a bitmask over vertex ids; edges
+    with an end outside 0..n-1 touch no hyperedge and are left out."""
+    adj = [0] * n
+    for u, v in g.edges:
+        if 0 <= u and v < n:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def _connected_within(adj: list[int], members: int) -> bool:
+    """Breadth-first search from the lowest vertex of the bitmask `members`
+    through the edges that stay inside it: does it reach every member?"""
+    reached = frontier = members & -members
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & members & ~reached
+        reached |= frontier
+    return reached == members
+
+
 def hyperedge_induced_connected(g: SupportGraph, h: Hypergraph, index: int) -> bool:
     """Does the restriction of g to hyperedge `index` connect all its vertices?"""
     if not 0 <= index < h.k:
         raise IndexError(f"hyperedge index {index} out of range 0..{h.k - 1}")
-    members = h.hyperedges[index]
-    if len(members) <= 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in members}
-    for u, v in g.edges:
-        if u in members and v in members:
-            adj[u].append(v)
-            adj[v].append(u)
-    start = next(iter(members))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(members)
+    return _connected_within(_adjacency(g, h.n), bit_mask(h.hyperedges[index], h.n))
 
 
 def is_support(g: SupportGraph, h: Hypergraph) -> bool:
     """True iff every hyperedge induces a connected subgraph in g."""
-    return all(hyperedge_induced_connected(g, h, i) for i in range(h.k))
+    adj = _adjacency(g, h.n)
+    return all(_connected_within(adj, bit_mask(members, h.n)) for members in h.hyperedges)
 
 
 def conflict_index_pairs(h: Hypergraph, edges) -> Iterator[tuple[int, int]]:

@@ -8,11 +8,14 @@ This makes every result reproducible and lets the containment lemma (a
 zero-weight MST is a subset of the free edges and the Euclidean MST) hold
 exactly, not just for instances with unique distances.
 
-Prim builds the EMSTs (mst_with_free_edges with no free edges). Where one
-vertex set is spanned again and again with changing free sets, as in
-heuristics.mst_iteration, complete_with_free_edges rebuilds each tree by
-Kruskal over the free edges and that vertex set's EMST alone, which the
-lemma shows is enough; mst_with_free_edges stays the dense reference.
+Prim builds the EMSTs (mst_with_free_edges with no free edges) and hands
+out each tree edge with its weight, bit for bit Hypergraph.edge_length, so
+emst_order and heuristics.mst_approximation sort and sum without measuring
+an edge again. Where one vertex set is spanned again and again with
+changing free sets, as in heuristics.mst_iteration,
+complete_with_free_edges rebuilds each tree by Kruskal over the free edges
+and that vertex set's EMST alone, which the lemma shows is enough;
+mst_with_free_edges stays the dense reference.
 """
 
 from __future__ import annotations
@@ -26,18 +29,20 @@ class EmptyCoreError(Exception):
     """No vertex is shared by all hyperedges, so the star seed is undefined."""
 
 
-def mst_with_free_edges(ids, free, h: Hypergraph) -> SupportGraph:
+def mst_with_free_edges(ids, free, h: Hypergraph) -> list[tuple[float, int, int]]:
     """Minimum spanning tree of `ids` where edges in `free` weigh zero and
-    every other edge its Euclidean length.
+    every other edge its Euclidean length, as (weight, u, v) triples, u < v,
+    in the order Prim chose them.
 
     A dense-array Prim over local indices 0..m-1, assigned in id order and
-    grown from the smallest id. Each step makes one pass over the outside
-    vertices: it relaxes each one's cheapest edge into the tree through the
-    vertex that just joined, and keeps the minimum by (weight, tie key). The
-    tie key min_local * m + max_local orders edges as (min id, max id) does,
-    because local order is id order. The minimum leaves the outside list by
-    swap-and-pop. The output is always a subset of `free` united with the
-    Euclidean MST of `ids`.
+    grown from the smallest id. Each outside vertex's cheapest weight into
+    the tree and that edge's tree end sit in lists aligned with `outside`;
+    the three leave together by swap-and-pop. Each step zeroes the free
+    edges of the vertex that just joined, then relaxes every outside vertex
+    through it by its distance (bit for bit Hypergraph.edge_length) and
+    keeps the minimum. Keys (min id, max id) are compared only between
+    exactly equal weights; local order is id order. The output is always a
+    subset of `free` united with the Euclidean MST of `ids`.
     """
     id_list = sorted(set(ids))
     if not id_list:
@@ -53,54 +58,58 @@ def mst_with_free_edges(ids, free, h: Hypergraph) -> SupportGraph:
         free_adj[local[u]].add(local[v])
         free_adj[local[v]].add(local[u])
 
-    if m == 1:
-        return SupportGraph(frozenset())
-
-    hypot = math.hypot
+    # math.dist and math.hypot share one norm routine, so dist(p, q) is
+    # hypot(q.x - p.x, q.y - p.y) bit for bit, which is edge_length.
+    dist = math.dist
     pos = h.vertices
-    xs = [pos[v].x for v in id_list]
-    ys = [pos[v].y for v in id_list]
-    # best_w[v], best_k[v]: weight and tie key of the cheapest known edge
-    # from the tree to outside vertex v.
-    no_key = m * m  # above every tie key
-    best_w = [math.inf] * m
-    best_k = [no_key] * m
+    pts = [(pos[v].x, pos[v].y) for v in id_list]
+    # near_w[i], near_t[i]: weight and tree end of the cheapest known edge
+    # from the tree to outside[i]; where[v] is v's position in outside, or
+    # -1 once v is in the tree.
     outside = list(range(1, m))
-    chosen: list[Edge] = []
+    near_w = [math.inf] * (m - 1)
+    near_t = [0] * (m - 1)
+    where = list(range(-1, m - 1))
+    chosen: list[tuple[float, int, int]] = []
     x = 0
     while outside:
-        px, py, marked = xs[x], ys[x], free_adj[x]
-        bw, bk, bi = math.inf, no_key, 0
-        for i, v in enumerate(outside):
-            w = 0.0 if v in marked else hypot(xs[v] - px, ys[v] - py)
-            cw = best_w[v]
-            if w <= cw:
-                key = x * m + v if x < v else v * m + x
-                if w < cw or key < best_k[v]:
-                    best_w[v] = cw = w
-                    best_k[v] = key
-            if cw <= bw and (cw < bw or best_k[v] < bk):
-                bw, bk, bi = cw, best_k[v], i
-        x, outside[bi] = outside[bi], outside[-1]
-        outside.pop()
-        chosen.append((id_list[bk // m], id_list[bk % m]))
-
-    return SupportGraph(frozenset(chosen))
+        for v in free_adj[x]:
+            i = where[v]
+            if i >= 0 and (near_w[i] or edge_key(x, v) < edge_key(near_t[i], v)):
+                near_w[i] = 0.0
+                near_t[i] = x
+        p = pts[x]
+        bw, bi, i = math.inf, 0, 0
+        for v in outside:
+            w = dist(pts[v], p)
+            cw = near_w[i]
+            if w <= cw and (w < cw or edge_key(x, v) < edge_key(near_t[i], v)):
+                near_w[i] = cw = w
+                near_t[i] = x
+            if cw <= bw and (cw < bw or edge_key(near_t[i], v)
+                             < edge_key(near_t[bi], outside[bi])):
+                bw, bi = cw, i
+            i += 1
+        x, t = outside[bi], near_t[bi]
+        where[x] = -1
+        for aligned in (outside, near_w, near_t):
+            aligned[bi] = aligned[-1]
+            aligned.pop()
+        if bi < len(outside):
+            where[outside[bi]] = bi
+        chosen.append((bw, *edge_key(id_list[t], id_list[x])))
+    return chosen
 
 
 def emst(ids, h: Hypergraph) -> SupportGraph:
     """Euclidean minimum spanning tree of `ids` under the global tie-break."""
-    return mst_with_free_edges(ids, (), h)
+    return SupportGraph(frozenset((u, v) for _, u, v in mst_with_free_edges(ids, (), h)))
 
 
 def emst_order(ids, h: Hypergraph) -> list[Edge]:
-    """The EMST edges of `ids` in the shared order, (length, u, v).
-
-    h.edge_length is the hypot of the coordinate differences that Prim
-    compares, so the order is Prim's own.
-    """
-    return [(u, v) for _, u, v in sorted((h.edge_length(u, v), u, v)
-                                         for u, v in emst(ids, h).edges)]
+    """The EMST edges of `ids` in the shared order, (length, u, v), sorted
+    by the weights Prim hands out."""
+    return [(u, v) for _, u, v in sorted(mst_with_free_edges(ids, (), h))]
 
 
 def complete_with_free_edges(free, order: list[Edge], h: Hypergraph) -> frozenset[Edge]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -95,6 +96,42 @@ def test_generate_deterministic_per_seed():
     a = generate(20, 3, DegreeScheme.MID, random.Random(42))
     b = generate(20, 3, DegreeScheme.MID, random.Random(42))
     assert serialize_hypergraph(a) == serialize_hypergraph(b)
+
+
+# SHA-256 of serialize_hypergraph over seeds 0-9, per scheme and (n, k):
+# the instance stream itself, not only its determinism. A change to the
+# generator that moves any RNG call or its arguments shows here.
+_STREAM_PINS = {
+    ("even", 8, 2): "beccf1c9be208c0b6aee923ca14b8f313b9d36221b9becdb76458e4fb696393b",
+    ("even", 14, 4): "0ecc7910446a0b1e509fedfdb0060d4a07ec0620d8bf676b55766c6a9b4af890",
+    ("even", 24, 4): "dd89eefe5e8784ad34c9d8d05089473d782d7c5d902440b416d2715f5eaedba3",
+    ("even", 50, 8): "642050a4da9faed35b7c1696e4c2a94bb0502e6850759361710368b98fbc4ea2",
+    ("even", 100, 8): "ca555276efc76ca86835e7e1ccfa5eab2712de28cc2ceffbbfd9254d9c4619d3",
+    ("mid", 8, 2): "f972b4bc3baf02ab39388c89acdac1d029fd599e233278db40872eeadcab0492",
+    ("mid", 14, 4): "1e6208d3f5d859c9d1d26698da3e210da58327083909e4f07dbb83e39fabec10",
+    ("mid", 24, 4): "e78fa928274663df37653192c2d55c49f1cf4b6ce979f4befcf1daa07df9db4b",
+    ("mid", 50, 8): "1cf87f0252e5bc174a54eceaee92cf632bc42f8b90577469b128632d625ed2b4",
+    ("mid", 100, 8): "b8a236e463d53da616be1da109f21bea00a70e6062bf0e91737c495391f38eae",
+    ("low", 8, 2): "d74e38b30b3a41781ef2b38e30a739b795ba6a291d9bfa1f7b402470dfa43f9c",
+    ("low", 14, 4): "b50184cc7cae1e0adcc6fe98a73071c5e9b8220a3d812388dd630fa7466e42e5",
+    ("low", 24, 4): "bacde4034d151e33ea73d465fde7e140c8ecfabc074fa80e4d638c2bde956992",
+    ("low", 50, 8): "f66ceb9f8acbf69803c62dae0291cee72a82c2b262070143b7d36e5b8cfa5e3e",
+    ("low", 100, 8): "4aabef3024efb3f27416521400763a2bc1d31857901140b0461e888ec3c985c0",
+    ("high", 8, 2): "14ba450a7b67f0db3d764ac34902252a0d915d1250066d13f74c73a9b6ce6467",
+    ("high", 14, 4): "dcdfc32de2a3e0edb760deb47b2809665eee9e8232780fc305b40494ae7024f9",
+    ("high", 24, 4): "bb6a9209e77933760f1f8b7940d647678453368ee109a9208475876d3d23bf58",
+    ("high", 50, 8): "57e7a1a610a31e64a5224f683102baaa1c44202129c4ee38e8e2de1248850232",
+    ("high", 100, 8): "18c4db4e69ec1ad9f887e74313aa0902c1d0fd67ab9c1a5bef316509068df6e1",
+}
+
+
+def test_generated_stream_is_pinned():
+    for (scheme, n, k), pin in _STREAM_PINS.items():
+        digest = hashlib.sha256()
+        for seed in range(10):
+            h = generate(n, k, DegreeScheme(scheme), random.Random(seed))
+            digest.update(serialize_hypergraph(h).encode())
+        assert digest.hexdigest() == pin, (scheme, n, k)
 
 
 def test_adversarial_family_shape():

@@ -128,7 +128,7 @@ def _rebuild_every_tree_every_pass(h, max_passes=20):
         for s, mset in enumerate(h.hyperedges):
             free = {(u, v) for t, tree in enumerate(trees) if t != s
                     for u, v in tree if u in mset and v in mset}
-            trees[s] = mst_with_free_edges(members[s], free, h).edges
+            trees[s] = frozenset((u, v) for _, u, v in mst_with_free_edges(members[s], free, h))
         passes += 1
         if frozenset().union(*trees) == before:
             break
@@ -155,8 +155,8 @@ def test_iteration_skips_only_rebuilds_that_change_nothing():
 def test_a_changed_free_set_of_the_same_size_is_rebuilt():
     # Tree 0 was built with (0, 1) free; tree 1 now offers (0, 2) instead.
     h = hg([(0, 0), (10, 0), (5, 1), (5, -1)], [{0, 1, 2, 3}, {0, 2}])
-    old = mst_with_free_edges([0, 1, 2, 3], [(0, 1)], h).edges
-    new = mst_with_free_edges([0, 1, 2, 3], [(0, 2)], h).edges
+    old = frozenset((u, v) for _, u, v in mst_with_free_edges([0, 1, 2, 3], [(0, 1)], h))
+    new = frozenset((u, v) for _, u, v in mst_with_free_edges([0, 1, 2, 3], [(0, 2)], h))
     assert old != new
     built = {0: {(0, 1)}, 1: set()}
     trees = _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built, {})
@@ -500,6 +500,55 @@ def test_seed_check_sees_crossing_longest_edges():
     assert tables.length((0, 1)) == tables.length((2, 3)) > tables.length((0, 3))
     assert not tables.is_plane(seed.edges)
     assert tables.is_plane([(0, 1), (0, 3)])
+
+
+def test_seed_check_sees_crossing_pairs_outside_every_hyperedge():
+    # (0, 1) and (2, 3) lie in no hyperedge and cross each other. Such
+    # pairs are indexed after every candidate and lie in no stored mask,
+    # so their crossing is found by testing them pairwise.
+    h = hg([(0, 0), (2, 2), (0, 2), (2, 0)], [{0, 2}, {1, 3}])
+    seed = SupportGraph.from_pairs([(0, 2), (1, 3), (0, 1), (2, 3)])
+    tables = _Tables(h, seed)
+    assert tables.index_of((0, 1)) >= tables.ncand and tables.index_of((2, 3)) >= tables.ncand
+    assert not tables.is_plane(seed.edges) and not model.is_plane(seed, h)
+    assert tables.is_plane([(0, 2), (1, 3), (0, 1)])
+    for c in (PLANE, PLANE_TREE):
+        with pytest.raises(ValueError):
+            local_search_seeded(h, seed, c)
+        with pytest.raises(ValueError):
+            local_search_round(h, seed, c)
+    assert satisfies(local_search_seeded(h, seed, UNRESTRICTED).support, h, UNRESTRICTED)
+
+
+def test_seed_check_matches_satisfies():
+    # local_search_round accepts a caller's support exactly when
+    # model.satisfies does, under every regime; planarity is read from the
+    # climb tables, also for pairs that no hyperedge holds.
+    rng = random.Random(83)
+    checked = Counter()
+    for i in range(150):
+        if i % 3 == 0:
+            side = rng.randint(2, 4)
+            pts = rng.sample([(x, y) for x in range(side) for y in range(side)],
+                             rng.randint(2, side * side))
+            h = hg(pts, [set(rng.sample(range(len(pts)), rng.randint(1, len(pts))))
+                         for _ in range(rng.randint(1, 3))] + [set(range(len(pts)))])
+        else:
+            h = generate(rng.randint(3, 9), rng.randint(1, 4), rng.choice(list(DegreeScheme)),
+                         random.Random(i))
+        pairs = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]
+        g = SupportGraph(frozenset(e for e in pairs if rng.random() < 0.4))
+        tables = _Tables(h, g)
+        assert tables.is_plane(g.edges) == model.is_plane(g, h)
+        for c in ALL_CONSTRAINTS:
+            fits = satisfies(g, h, c)
+            checked[c.label, fits] += 1
+            if fits:
+                local_search_round(h, g, c)
+            else:
+                with pytest.raises(ValueError):
+                    local_search_round(h, g, c)
+    assert all(checked[c.label, fits] for c in ALL_CONSTRAINTS for fits in (True, False))
 
 
 def test_local_search_nests_where_single_climbs_invert():

@@ -82,6 +82,39 @@ def test_is_support_monotone_under_edge_addition():
                 break
 
 
+def _connected_reference(g, members):
+    """Union-find over the edges with both ends in `members`."""
+    root = {v: v for v in members}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        if u in members and v in members:
+            root[find(u)] = find(v)
+    return len({find(v) for v in members}) == 1
+
+
+def test_support_checks_match_a_union_find_reference():
+    # Random graphs over all vertex pairs, plus pairs with an end outside
+    # the vertex range, which touch no hyperedge.
+    rng = random.Random(61)
+    for i in range(300):
+        h = generate(rng.randint(2, 14), rng.randint(1, 5), rng.choice(list(DegreeScheme)),
+                     random.Random(i))
+        pairs = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]
+        p = rng.random()
+        edges = {e for e in pairs if rng.random() < p}
+        if i % 10 == 0:
+            edges |= {(-1, 0), (h.n - 1, h.n + 3)}
+        g = SupportGraph(frozenset(edges))
+        expected = [_connected_reference(g, members) for members in h.hyperedges]
+        assert [hyperedge_induced_connected(g, h, s) for s in range(h.k)] == expected
+        assert is_support(g, h) == all(expected)
+
+
 def test_is_plane_examples():
     assert not is_plane(SupportGraph.from_pairs([(0, 1), (2, 3)]), X_CONFIG)
     assert crossing_count(SupportGraph.from_pairs([(0, 1), (2, 3)]), X_CONFIG) == 1

@@ -19,6 +19,17 @@ def hg(points, hyperedges):
     return Hypergraph.build(points, hyperedges)
 
 
+def prim_tree(ids, free, h) -> SupportGraph:
+    """mst_with_free_edges' edges as a support graph, after checking the
+    weight it hands out with each: zero for a free edge, else bit for bit
+    the edge's length."""
+    free = {edge_key(a, b) for a, b in free}
+    weighted = mst_with_free_edges(ids, free, h)
+    for w, u, v in weighted:
+        assert w == (0.0 if (u, v) in free else h.edge_length(u, v)), (w, u, v)
+    return SupportGraph(frozenset((u, v) for _, u, v in weighted))
+
+
 def enumerate_spanning_trees(ids, h):
     """Brute-force oracle: every spanning tree of the complete graph on ids,
     with its Euclidean length. Only sensible for len(ids) <= 7."""
@@ -70,7 +81,7 @@ def test_emst_never_beaten_by_enumeration():
 def test_free_edges_example():
     # d(0,2) = d(1,2) = sqrt(26); the tie goes to the smaller vertex id.
     h = hg([(0, 0), (10, 0), (5, 1)], [{0, 1, 2}])
-    g = mst_with_free_edges([0, 1, 2], [(0, 1)], h)
+    g = prim_tree([0, 1, 2], [(0, 1)], h)
     assert g.sorted_edges() == [(0, 1), (0, 2)]
     non_free = total_length(g, h) - h.edge_length(0, 1)
     assert non_free == pytest.approx(math.sqrt(26))
@@ -83,9 +94,9 @@ def test_free_edges_example():
 
 def test_free_edges_degenerate_cases():
     h = hg([(0, 0), (10, 0), (5, 1)], [{0, 1, 2}])
-    assert mst_with_free_edges([0, 1, 2], [], h).edges == emst([0, 1, 2], h).edges
+    assert prim_tree([0, 1, 2], [], h).edges == emst([0, 1, 2], h).edges
     # free edges already spanning: zero non-free contribution
-    g = mst_with_free_edges([0, 1, 2], [(0, 1), (1, 2)], h)
+    g = prim_tree([0, 1, 2], [(0, 1), (1, 2)], h)
     assert g.edges <= {(0, 1), (1, 2)}
     assert len(g) == 2
     with pytest.raises(ValueError):
@@ -101,7 +112,7 @@ def test_zero_weight_mst_contained_in_free_union_emst():
         h = hg(pts, [set(range(n))])
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         free = {p for p in pairs if rng.random() < 0.3}
-        tree = mst_with_free_edges(range(n), free, h)
+        tree = prim_tree(range(n), free, h)
         allowed = free | set(emst(range(n), h).edges)
         assert tree.edges <= allowed
 
@@ -153,8 +164,27 @@ def test_free_edge_mst_equals_kruskal_oracle():
     # The order (weight, min id, max id) is strict, so the spanning tree is
     # unique: Prim must return exactly Kruskal's edge set.
     for h, ids, free in _oracle_cases(1500):
-        assert mst_with_free_edges(ids, free, h).edges == kruskal_oracle(ids, free, h), \
+        assert prim_tree(ids, free, h).edges == kruskal_oracle(ids, free, h), \
             (h.vertices, ids, free)
+
+
+def test_emst_order_equals_the_measured_order():
+    # emst_order sorts by the weights Prim hands out; it must equal sorting
+    # the EMST's edges by their measured lengths, ties included (the
+    # integer grids have many equal lengths).
+    for h, ids, _ in _oracle_cases(600):
+        measured = sorted((h.edge_length(u, v), u, v) for u, v in emst(ids, h).edges)
+        assert emst_order(ids, h) == [(u, v) for _, u, v in measured], (h.vertices, ids)
+
+
+def test_mst_approximation_length_is_total_length_bit_for_bit():
+    from plane_supports.heuristics import mst_approximation
+    rng = random.Random(8)
+    for i in range(150):
+        h = generate(rng.randint(2, 60), rng.randint(1, 8), rng.choice(list(DegreeScheme)),
+                     random.Random(i))
+        rep = mst_approximation(h)
+        assert repr(rep.length) == repr(total_length(rep.support, h))
 
 
 @pytest.mark.skipif(st is None, reason="hypothesis is not installed")
@@ -177,7 +207,7 @@ def test_kruskal_completion_equals_dense_prim():
         free = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         h = Hypergraph.build(pts, [set(range(n))])
         assert complete_with_free_edges(free, emst_order(ids, h), h) == \
-            mst_with_free_edges(ids, free, h).edges
+            prim_tree(ids, free, h).edges
 
     check()
 

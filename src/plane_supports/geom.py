@@ -7,11 +7,11 @@ instances live in a 100 x 100 square). The segment-conflict arithmetic
 lives in two places: coords_conflict, the pairwise test on coordinate
 4-tuples (segments_conflict unpacks two Segments into it, and
 model.conflict_index_pairs walks the edges of a support through it), and
-SegmentConflicts, the bulk query (its passing-through index and its
-queries, which answer with a bitmask over the stored pairs' positions).
-Both compute the cross products of orientation() inline, with
-the same operands and the same ORIENT_EPS cut, so they give its answers
-exactly.
+SegmentConflicts, the bulk query over bitmasks of stored pairs (its
+passing-through index, its side pass over the incident masks and its
+straddling-pair test). Both compute the cross products of orientation()
+inline, with the same operands and the same ORIENT_EPS cut, so they give
+its answers exactly.
 
 Because the tolerance is absolute, answers change under scaling:
 (0, 0)-(2, 2) and (1, 0)-(3, 1) do not conflict, but with every coordinate
@@ -22,6 +22,7 @@ segments read as collinear and overlapping, hence conflicting.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
@@ -29,6 +30,7 @@ from enum import IntEnum
 # Absolute tolerance on cross products below which three points count as
 # collinear. Instance feature sizes are O(1)..O(100), far above this.
 ORIENT_EPS = 1e-9
+_ONES = re.compile("1").finditer
 
 
 class Orientation(IntEnum):
@@ -138,6 +140,17 @@ def bit_mask(ids, size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def incident_masks(pairs, n: int) -> list[int]:
+    """By point 0..n-1, the bitmask of the positions in `pairs` of the
+    pairs ending there; one pass sets each bit in the bytes of both ends."""
+    by_point = [bytearray((len(pairs) >> 3) + 1) for _ in range(n)]
+    for i, (a, b) in enumerate(pairs):
+        byte, bit = i >> 3, 1 << (i & 7)
+        by_point[a][byte] |= bit
+        by_point[b][byte] |= bit
+    return [int.from_bytes(buf, "little") for buf in by_point]
+
+
 class SegmentConflicts:
     """segments_conflict in bulk, for the segments between pairs of one set
     of distinct points.
@@ -147,18 +160,24 @@ class SegmentConflicts:
     conflicting(a, b) returns the bitmask of the ids of the pairs whose
     segments conflict with Segment(points[a], points[b]), a < b. It makes
     the tests of segments_conflict, but computes each point's side of the
-    query line once per query instead of once per pair, tries a proper
-    crossing only for the pairs with one endpoint strictly on each side
-    (found through each point's bitmask of partners), and finds the
-    touching cases through indexes built at construction: the pairs ending
-    at each point, and the pairs whose interior passes through it (trying
-    only the points in each pair's bounding box, found as bitmasks).
+    query line once per query instead of once per pair. The pairs with one
+    end strictly on each side are the OR of the incident masks (incident[v]:
+    the ids of the pairs ending at v) of the points left of the line, ANDed
+    with the same OR for the points right of it; only those try a proper
+    crossing, with operands stored once per pair. The touching cases come
+    from the same masks and from through[v], the ids of the pairs whose
+    interior passes through v, built at construction (trying only the
+    points in each pair's bounding box, found as bitmasks). A caller that
+    already has the incident masks of `pairs` may pass them in.
     """
 
-    def __init__(self, points, pairs):
+    def __init__(self, points, pairs, incident=None):
         self.xs = xs = [p.x for p in points]
         self.ys = ys = [p.y for p in points]
         self.pairs = list(pairs)
+        self.incident = incident = incident or incident_masks(self.pairs, len(xs))
+        # The query's side pass walks the points with a pair alone.
+        self._rows = [(xs[v], ys[v], m, v) for v, m in enumerate(incident) if m]
         # Per axis, below[v] and upto[v] are the bitmasks of the points whose
         # coordinate is less than v's, and at most v's.
         masks = []
@@ -171,26 +190,21 @@ class SegmentConflicts:
             masks.append(([prefix[bisect_left(ordered, t)] for t in coords],
                           [prefix[bisect_right(ordered, t)] for t in coords]))
         (xbelow, xupto), (ybelow, yupto) = masks
-        # By point: the ids of the pairs ending there, by partner; its
-        # partners as a bitmask; and the ids of the pairs whose segment has
-        # it in its interior. Only the points in a segment's bounding box
-        # are tried for the last.
-        self._ids: list[dict[int, int]] = [{} for _ in xs]
-        self._partners = partners = [0] * len(xs)
-        self._through: dict[int, list[int]] = {}
+        # By pair, the operands of its side of the crossing test; by point,
+        # the pairs whose segment has it in its interior. Only the points in
+        # a segment's bounding box are tried for the latter.
+        self._operands = []
+        self.through = through = [0] * len(xs)
         for i, p in enumerate(self.pairs):
             c, d = p
             if not c < d:
                 raise ValueError(f"pair {p} is not in (min, max) form")
-            self._ids[c][d] = self._ids[d][c] = i
-            bc, bd = 1 << c, 1 << d
-            partners[c] |= bd
-            partners[d] |= bc
             cx, cy, dx, dy = xs[c], ys[c], xs[d], ys[d]
+            self._operands.append((cx, cy, dx - cx, dy - cy))
             # The points in the segment's bounding box, but for c and d.
             xbox = xupto[d] ^ xbelow[c] if cx <= dx else xupto[c] ^ xbelow[d]
             ybox = yupto[d] ^ ybelow[c] if cy <= dy else yupto[c] ^ ybelow[d]
-            inside = xbox & ybox ^ (bc | bd)
+            inside = xbox & ybox ^ (1 << c | 1 << d)
             while inside:
                 low = inside & -inside
                 inside ^= low
@@ -199,45 +213,40 @@ class SegmentConflicts:
                 cross = (dx - cx) * (vy - cy) - (dy - cy) * (vx - cx)
                 if (not (cross > ORIENT_EPS or cross < -ORIENT_EPS)
                         and _strictly_between(cx, cy, dx, dy, vx, vy)):
-                    self._through.setdefault(v, []).append(i)
+                    through[v] |= 1 << i
 
     def conflicting(self, a: int, b: int) -> int:
         xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         abx, aby = bx - ax, by - ay
-        # The ids found, repeats allowed. Identical segments, and touching:
-        # an endpoint of either segment in the other's interior.
-        ids = self._ids
-        out = [ids[a][b]] if b in ids[a] else []
-        out += self._through.get(a, ())
-        out += self._through.get(b, ())
+        # Identical segments, and touching: an endpoint of either segment
+        # in the other's interior.
+        incident = self.incident
+        out = incident[a] & incident[b] | self.through[a] | self.through[b]
         # Each point's side of the query line, as the sign of
-        # orientation(points[a], points[b], point): the points strictly
-        # left of it, and the bitmask of those strictly right of it.
-        left = []
-        right = 0
-        for v, cross in enumerate([abx * (y - ay) - aby * (x - ax) for x, y in zip(xs, ys)]):
+        # orientation(points[a], points[b], point), gathered as the pairs
+        # ending strictly left of it and strictly right of it. a and b lie
+        # on it exactly, as do the points that may be in its interior.
+        left = right = 0
+        for x, y, m, v in self._rows:
+            cross = abx * (y - ay) - aby * (x - ax)
             if cross > ORIENT_EPS:
-                left.append(v)
+                left |= m
             elif cross < -ORIENT_EPS:
-                right |= 1 << v
-            elif ids[v] and _strictly_between(ax, ay, bx, by, xs[v], ys[v]):
-                out += ids[v].values()
+                right |= m
+            elif v != a and v != b and _strictly_between(ax, ay, bx, by, x, y):
+                out |= m
         # Proper crossings: each segment's endpoints strictly straddle the
         # other. Only pairs with one endpoint on each side can straddle.
-        partners = self._partners
-        for u in left:
-            across = partners[u] & right
-            while across:
-                low = across & -across
-                across ^= low
-                w = low.bit_length() - 1
-                c, d = (u, w) if u < w else (w, u)
-                cx, cy = xs[c], ys[c]
-                cdx, cdy = xs[d] - cx, ys[d] - cy
-                ca = cdx * (ay - cy) - cdy * (ax - cx)
-                cb = cdx * (by - cy) - cdy * (bx - cx)
-                if ((ca > ORIENT_EPS and cb < -ORIENT_EPS)
-                        or (ca < -ORIENT_EPS and cb > ORIENT_EPS)):
-                    out.append(ids[u][w])
-        return bit_mask(out, len(self.pairs))
+        # Their ids are read off the mask's binary digits, bit 0 first:
+        # clearing bits one at a time costs a wide mask's width per bit.
+        operands = self._operands
+        for found in _ONES(bin(left & right)[:1:-1]):
+            i = found.start()
+            cx, cy, cdx, cdy = operands[i]
+            ca = cdx * (ay - cy) - cdy * (ax - cx)
+            cb = cdx * (by - cy) - cdy * (bx - cx)
+            if ((ca > ORIENT_EPS and cb < -ORIENT_EPS)
+                    or (ca < -ORIENT_EPS and cb > ORIENT_EPS)):
+                out |= 1 << i
+        return out

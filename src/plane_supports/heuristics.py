@@ -39,14 +39,13 @@ shortest available pair that crosses every broken cut.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
-from collections import Counter
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, count
 from operator import and_
 
-from .geom import SegmentConflicts, bit_mask, segments_conflict
+from .geom import SegmentConflicts, bit_mask, incident_masks, segments_conflict
 from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
                     Hypergraph, SupportGraph, satisfies, total_length)
 from .mst import complete_with_free_edges, emst_order, mst_with_free_edges, star_support
@@ -85,52 +84,59 @@ class SolveReport:
     rounds_or_passes: int
 
 
-def _union_support(trees: dict[int, frozenset[Edge]]) -> SupportGraph:
-    edges: set[Edge] = set()
-    for t in trees.values():
-        edges |= t
-    return SupportGraph(frozenset(edges))
+class _Forest:
+    """Per-hyperedge trees under recomputation steps (see mst_iteration).
 
-
-def _execute_sequence(h: Hypergraph, steps, trees, built,
-                      orders) -> dict[int, frozenset[Edge]]:
-    """Run the given recomputation steps, starting from `trees`.
-
-    Step s rebuilds tree s with every edge of the *other* trees that lies
-    inside hyperedge s available at weight zero. Recomputing an existing tree
-    can only shorten the support (tests check this step by step). The free
-    set comes from a count, per support edge, of the trees that hold it: an
-    edge is free for s when a tree other than s holds it. The tree is
-    mst_with_free_edges' tree, rebuilt by complete_with_free_edges from
-    hyperedge s's EMST in `orders` (a dict by hyperedge, filled here on
-    first use; mst_iteration shares one between calls). `built` maps each
-    tree to the free set it was last built with and is kept up to date; a
-    step whose free set is unchanged keeps its tree, since the tree is a
-    pure function of the members and the free set.
+    Step s rebuilds tree s with free[s], every edge of the *other* trees
+    that lies inside hyperedge s, at weight zero; recomputing an existing
+    tree can only shorten the support (tests check this step by step). The
+    free sets are kept current as trees change, through holders: by edge,
+    the bitmask of the trees holding it. complete_with_free_edges builds
+    the tree from hyperedge s's EMST in `orders` (a dict by hyperedge,
+    filled on first use, shareable between forests). `built` maps each
+    tree to the free set it was last built with; a step whose free set is
+    unchanged keeps its tree, a pure function of members and free set.
     """
-    trees = dict(trees)
-    held: Counter[Edge] = Counter()
-    for t in trees.values():
-        held.update(t)
-    for s in steps:
-        mset = h.hyperedges[s]
-        own = trees.get(s, frozenset())
-        free = {e for e, c in held.items()
-                if c > (e in own) and e[0] in mset and e[1] in mset}
-        if built.get(s) == free:
-            continue
-        built[s] = free
-        order = orders.get(s)
-        if order is None:
-            order = orders[s] = emst_order(sorted(mset), h)
-        tree = complete_with_free_edges(free, order, h)
-        for e in own - tree:
-            held[e] -= 1
-            if not held[e]:
-                del held[e]
-        held.update(tree - own)
-        trees[s] = tree
-    return trees
+
+    def __init__(self, h: Hypergraph, trees, built, orders):
+        self.h, self.built, self.orders = h, built, orders
+        self.trees: dict[int, frozenset[Edge]] = {}
+        self.holders: dict[Edge, int] = {}
+        self.free: list[set[Edge]] = [set() for _ in h.hyperedges]
+        for s, tree in trees.items():
+            self._replace(s, tree)
+
+    def _replace(self, s: int, tree: frozenset[Edge]) -> None:
+        vertex_masks, holders, free = self.h.vertex_masks, self.holders, self.free
+        bit = 1 << s
+        for e in self.trees.get(s, frozenset()) ^ tree:  # the edges tree s adds or drops
+            holders[e] = others = holders.get(e, 0) ^ bit
+            if not others:
+                del holders[e]
+            # e is free for another hyperedge r holding it while a tree
+            # other than r holds it.
+            inside = vertex_masks[e[0]] & vertex_masks[e[1]] & ~bit
+            while inside:
+                low = inside & -inside
+                inside ^= low
+                if others & ~low:
+                    free[low.bit_length() - 1].add(e)
+                else:
+                    free[low.bit_length() - 1].discard(e)
+        self.trees[s] = tree
+
+    def run(self, steps) -> SupportGraph:
+        """Run the steps; the union of the trees after them."""
+        for s in steps:
+            free = self.free[s]
+            if self.built.get(s) == free:
+                continue
+            self.built[s] = set(free)
+            order = self.orders.get(s)
+            if order is None:
+                order = self.orders[s] = emst_order(sorted(self.h.hyperedges[s]), self.h)
+            self._replace(s, complete_with_free_edges(free, order, self.h))
+        return SupportGraph(frozenset(self.holders))
 
 
 def mst_approximation(h: Hypergraph) -> SolveReport:
@@ -169,13 +175,13 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
                 raise IndexError(f"hyperedge index {s} out of range 0..{k - 1}")
         if set(steps) != set(range(k)):
             raise ValueError("computation sequence must contain every hyperedge at least once")
-        support = _union_support(_execute_sequence(h, steps, {}, {}, {}))
+        support = _Forest(h, {}, {}, {}).run(steps)
         return SolveReport(support, total_length(support, h), len(steps))
 
     if k == 2:
         orders: dict[int, list[Edge]] = {}  # both orders share the EMSTs
-        g_a = _union_support(_execute_sequence(h, [0, 1, 0], {}, {}, orders))
-        g_b = _union_support(_execute_sequence(h, [1, 0, 1], {}, {}, orders))
+        g_a = _Forest(h, {}, {}, orders).run([0, 1, 0])
+        g_b = _Forest(h, {}, {}, orders).run([1, 0, 1])
         len_a = total_length(g_a, h)
         len_b = total_length(g_b, h)
         support, length = (g_b, len_b) if len_b < len_a - _TIE_EPS else (g_a, len_a)
@@ -185,45 +191,46 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     # pure recomputation, then iterate passes to stability. An EMST is the
     # tree built with no free edges, so `built` starts empty for each tree.
     orders = {s: emst_order(sorted(h.hyperedges[s]), h) for s in range(k)}
-    trees = {s: frozenset(orders[s]) for s in range(k)}
-    built: dict[int, set[Edge]] = {s: set() for s in range(k)}
-    support = _union_support(trees)
+    forest = _Forest(h, {s: frozenset(orders[s]) for s in range(k)},
+                     {s: set() for s in range(k)}, orders)
+    support = forest.run(())
     passes = 0
     for _ in range(max_passes):
-        trees = _execute_sequence(h, range(k), trees, built, orders)
         passes += 1
-        before, support = support, _union_support(trees)
+        before, support = support, forest.run(range(k))
         if support == before:
             break
     return SolveReport(support, total_length(support, h), passes)
 
 
 class _Tables:
-    """Regime-independent data of one hypergraph, shared by every climb of a
-    local_search call.
+    """Regime-independent data of one hypergraph and seed, shared by every
+    climb of a local_search call.
 
-    Each candidate pair (two vertices of one hyperedge) has an index, its
-    rank in (length, u, v) order: pairs[i], plen[i] and held[i], the bitmask
-    of the hyperedges holding it. Sets of pairs are Python-int bitmasks over
-    these indices, so ascending bits are ascending (length, u, v):
-    within[s] holds hyperedge s's pairs and incident[v] the pairs ending at
-    v. A pair of a caller's seed that no hyperedge holds is indexed after
-    every candidate on first use and lies in no mask. conflicts_of(x)
-    gives the stored pairs whose segments conflict with edge x, and
-    seed_counts() how many of the seed's edges each one conflicts with.
+    A replacement pair is strictly shorter than the edge it replaces, so no
+    climb from the seed, or from a support climbed from it, adds a candidate
+    pair (two vertices of one hyperedge) longer than the seed's longest
+    edge. Only the ncand candidates up to that bound are indexed (those as
+    long too, so that is_plane decides the seed's own planarity from the
+    same sets), each by its rank in (length, u, v) order: pairs[i], plen[i]
+    and held[i], the bitmask of the hyperedges holding it. Sets of pairs are
+    Python-int bitmasks over these indices, so ascending bits are ascending
+    (length, u, v): within[s] holds hyperedge s's pairs and incident[v] the
+    pairs ending at v. index_of refuses a candidate beyond the bound, and
+    indexes a seed pair that no hyperedge holds after every candidate, in no
+    mask. conflicts_of(x) gives the candidates whose segments conflict with
+    edge x, and seed_counts() how many seed edges each one conflicts with.
     """
 
     def __init__(self, h: Hypergraph, seed: SupportGraph):
         self.h = h
+        self.seed = seed
         n = h.n
         xs = [p.x for p in h.vertices]
         ys = [p.y for p in h.vertices]
-        # By vertex, the bitmask of the hyperedges holding it: a pair is a
-        # candidate when some hyperedge holds both ends.
-        mh = [0] * n
-        for s, members in enumerate(h.hyperedges):
-            for v in members:
-                mh[v] |= 1 << s
+        # A pair is a candidate when some hyperedge holds both ends.
+        mh = h.vertex_masks
+        longest = max((h.edge_length(*e) for e in seed.edges), default=0.0)
         hypot = math.hypot
         lens, ends, helds = [], [], []
         for a in range(n):
@@ -231,9 +238,11 @@ class _Tables:
             for b in range(a + 1, n):
                 held = ma & mh[b]
                 if held:
-                    lens.append(hypot(xs[b] - ax, ys[b] - ay))  # h.edge_length(a, b)
-                    ends.append((a, b))
-                    helds.append(held)
+                    w = hypot(xs[b] - ax, ys[b] - ay)  # h.edge_length(a, b)
+                    if w <= longest:
+                        lens.append(w)
+                        ends.append((a, b))
+                        helds.append(held)
         # The pairs come in (u, v) order and the sort is stable, so equal
         # lengths stay in (u, v) order.
         order = sorted(range(len(lens)), key=lens.__getitem__)
@@ -241,14 +250,8 @@ class _Tables:
         self.pairs: list[Edge] = list(map(ends.__getitem__, order))
         self.held: list[int] = list(map(helds.__getitem__, order))
         self.index: dict[Edge, int] = dict(zip(self.pairs, count()))
-        self.ncand = size = len(self.pairs)
-        # One pass sets each pair's bit in the bytes of its two ends.
-        by_vertex = [bytearray((size >> 3) + 1) for _ in range(n)]
-        for i, (a, b) in enumerate(self.pairs):
-            byte, bit = i >> 3, 1 << (i & 7)
-            by_vertex[a][byte] |= bit
-            by_vertex[b][byte] |= bit
-        self.incident = [int.from_bytes(buf, "little") for buf in by_vertex]
+        self.ncand = len(self.pairs)
+        self.incident = incident_masks(self.pairs, n)
         # A hyperedge's pairs are those touching it but not exactly once.
         self.within = []
         for members in h.hyperedges:
@@ -262,25 +265,17 @@ class _Tables:
         self.common = {m: reduce(and_, [self.within[s] for s in hs])
                        for m, hs in self.split.items()}
         self.split[0] = ()
-        self.members = [bit_mask(m, n) for m in h.hyperedges]  # vertex bitmasks
+        self.members = h.member_masks
         self._pair_conflicts: dict[tuple[Edge, Edge], bool] = {}
         self._conflicts: dict[Edge, int] = {}
-        # A replacement pair is strictly shorter than the edge it replaces,
-        # so no climb from `seed`, or from a support climbed from it, ever
-        # adds a pair longer than seed's longest edge: conflicts_of leaves
-        # such pairs out. It keeps the pairs exactly as long, which no climb
-        # adds either, so that is_plane can decide the seed's own planarity
-        # from the same sets (two equally long longest edges may cross).
-        # The stored pairs are the first `stored` candidates.
-        self.seed = seed
-        longest = max((self.length(e) for e in seed.edges), default=0.0)
-        self.stored = bisect_right(self.plen, longest, 0, size)
         self._bulk = None
         self._seed_counts = None
 
     def index_of(self, e: Edge) -> int:
         i = self.index.get(e)
-        if i is None:  # a pair of a caller's seed that no hyperedge holds
+        if i is None:  # a pair of a caller's seed that no hyperedge holds, else refused
+            if self.h.vertex_masks[e[0]] & self.h.vertex_masks[e[1]]:
+                raise ValueError(f"candidate pair {e} is longer than the seed's longest edge")
             i = self.index[e] = len(self.pairs)
             self.pairs.append(e)
             self.plen.append(self.h.edge_length(*e))
@@ -317,17 +312,18 @@ class _Tables:
         return hit
 
     def conflicts_of(self, x: Edge) -> int:
-        """The bitmask of the stored pairs whose segments conflict with edge
-        x; the bulk index numbers them by their index here."""
+        """The bitmask of the candidates whose segments conflict with edge x;
+        the bulk index takes their numbers and incident masks from here."""
         out = self._conflicts.get(x)
         if out is None:
             if self._bulk is None:
-                self._bulk = SegmentConflicts(self.h.vertices, self.pairs[:self.stored])
+                self._bulk = SegmentConflicts(self.h.vertices, self.pairs[:self.ncand],
+                                              self.incident)
             out = self._conflicts[x] = self._bulk.conflicting(*x)
         return out
 
     def seed_counts(self) -> tuple[int, ...]:
-        """For each stored pair, how many seed edges conflict with it, as
+        """For each indexed candidate, how many seed edges conflict with it, as
         bit planes: bit i of plane b is bit b of pair i's count. Built on
         first use; every plane climb starts from a copy."""
         if self._seed_counts is None:
@@ -341,7 +337,7 @@ class _Tables:
         """model.is_plane's answer for `edges`, pairs no longer than the
         seed's longest edge (the seed's own edges, for instance): no edge's
         conflicts_of set holds another of them. Pairs that no hyperedge
-        holds lie in no stored mask, so those are also tested pairwise."""
+        holds lie in no conflicts_of set, so those are tested pairwise."""
         ids = {e: self.index_of(e) for e in edges}
         mask = bit_mask(ids.values(), len(self.pairs))
         extra = [e for e, i in ids.items() if i >= self.ncand]
@@ -410,7 +406,7 @@ class _Searcher:
     order holds the support edges as (-length, edge), sorted: run_round's
     scan order, updated by every commit. Under the plane regimes counts
     holds, as in _Tables.seed_counts, how many support edges conflict with
-    each stored pair; it starts from a copy of the seed's counts. The
+    each indexed candidate; it starts from a copy of the seed's counts. The
     bitmasks zero and one hold the pairs counted 0 and 1 times.
 
     Whenever the support is a spanning tree (n - 1 edges, connected), in
@@ -461,7 +457,7 @@ class _Searcher:
             more |= plane
         low = counts[0] if counts else 0
         self.one = low & ~more
-        self.zero = (1 << self.t.stored) - 1 & ~(low | more)
+        self.zero = (1 << self.t.ncand) - 1 & ~(low | more)
 
     def _note_shape(self) -> None:
         # A support with n - 1 edges is a spanning tree iff it is connected;

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geom import Point, Segment, bit_mask, coords_conflict, distance
 # Re-exported, unused here: the benchmark tracer's self-test checks that it
@@ -121,6 +122,20 @@ class Hypergraph:
     def k(self) -> int:
         return len(self.hyperedges)
 
+    @cached_property
+    def member_masks(self) -> tuple[int, ...]:
+        """Each hyperedge's vertices as a bitmask, built on first use."""
+        return tuple(bit_mask(members, self.n) for members in self.hyperedges)
+
+    @cached_property
+    def vertex_masks(self) -> tuple[int, ...]:
+        """Each vertex's hyperedges as a bitmask, built on first use."""
+        masks = [0] * self.n
+        for s, members in enumerate(self.hyperedges):
+            for v in members:
+                masks[v] |= 1 << s
+        return tuple(masks)
+
     def edge_length(self, u: int, v: int) -> float:
         return distance(self.vertices[u], self.vertices[v])
 
@@ -217,13 +232,13 @@ def hyperedge_induced_connected(g: SupportGraph, h: Hypergraph, index: int) -> b
     """Does the restriction of g to hyperedge `index` connect all its vertices?"""
     if not 0 <= index < h.k:
         raise IndexError(f"hyperedge index {index} out of range 0..{h.k - 1}")
-    return _connected_within(_adjacency(g, h.n), bit_mask(h.hyperedges[index], h.n))
+    return _connected_within(_adjacency(g, h.n), h.member_masks[index])
 
 
 def is_support(g: SupportGraph, h: Hypergraph) -> bool:
     """True iff every hyperedge induces a connected subgraph in g."""
     adj = _adjacency(g, h.n)
-    return all(_connected_within(adj, bit_mask(members, h.n)) for members in h.hyperedges)
+    return all(_connected_within(adj, members) for members in h.member_masks)
 
 
 def conflict_index_pairs(h: Hypergraph, edges) -> Iterator[tuple[int, int]]:

@@ -1,6 +1,7 @@
-"""Property tests: the bulk conflict query and the float pairwise walk give
-the answers of segments_conflict, on float and integer-grid point sets, some
-of them wider than one 64-bit word of a side bitmask."""
+"""Property tests: the bulk conflict query, as built alone and as local
+search builds it, and the float pairwise walk give the answers of
+segments_conflict, on float and integer-grid point sets, some of them wider
+than one 64-bit word of a side bitmask."""
 
 import random
 
@@ -10,7 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from plane_supports.geom import Point, Segment, SegmentConflicts, segments_conflict  # noqa: E402
-from plane_supports.model import Hypergraph, conflict_index_pairs  # noqa: E402
+from plane_supports.heuristics import _Tables  # noqa: E402
+from plane_supports.model import Hypergraph, SupportGraph, conflict_index_pairs  # noqa: E402
 
 # (grid side, fewest points, most points) per layout; side None means
 # uniform floats. Grids give collinear overlaps, endpoints in interiors and
@@ -66,3 +68,30 @@ def test_bulk_walk_and_float_pairs_match_the_pairwise_predicate(layout, data):
     reference = [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
                  if segments_conflict(h.segment(*edges[i]), h.segment(*edges[j]))]
     assert list(conflict_index_pairs(h, edges)) == reference
+
+
+@pytest.mark.parametrize("layout", ["floats", "grid"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_index_local_search_builds_matches_the_pairwise_predicate(layout, data):
+    # _Tables hands the bulk index its own pairs, those no longer than the
+    # seed's longest edge, and its own incident masks; conflicts_of numbers
+    # the answer by the tables' indices.
+    points = data.draw(point_sets(layout))
+    n = len(points)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    hyperedges = [frozenset(range(n))] + [frozenset(rng.sample(range(n), rng.randint(1, n)))
+                                          for _ in range(rng.randint(0, 3))]
+    h = Hypergraph(tuple(points), tuple(hyperedges))
+    everything = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    seed = SupportGraph(frozenset(data.draw(st.lists(st.sampled_from(everything), min_size=1,
+                                                     max_size=n, unique=True))))
+    tables = _Tables(h, seed)
+    tables.conflicts_of(everything[0])
+    bulk = tables._bulk
+    assert bulk.pairs == tables.pairs[:tables.ncand] and bulk.incident is tables.incident
+    for a, b in data.draw(st.lists(st.sampled_from(everything), min_size=1, max_size=8)):
+        query = Segment(points[a], points[b])
+        expected = sum(1 << i for i, (c, d) in enumerate(tables.pairs[:tables.ncand])
+                       if segments_conflict(query, Segment(points[c], points[d])))
+        assert tables.conflicts_of((a, b)) == expected, (a, b)

@@ -8,8 +8,8 @@ import pytest
 import plane_supports.model as model
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.geom import segments_conflict
-from plane_supports.heuristics import (_MAX_REPLACEMENT, ComputationSequence, _Searcher, _Tables,
-                                       _depth_first, _execute_sequence, _star_seed, _union_support,
+from plane_supports.heuristics import (_MAX_REPLACEMENT, ComputationSequence, _Forest, _Searcher,
+                                       _Tables, _depth_first, _star_seed,
                                        local_search, local_search_all, local_search_round,
                                        local_search_seeded,
                                        mst_approximation, mst_iteration)
@@ -159,10 +159,13 @@ def test_a_changed_free_set_of_the_same_size_is_rebuilt():
     new = frozenset((u, v) for _, u, v in mst_with_free_edges([0, 1, 2, 3], [(0, 2)], h))
     assert old != new
     built = {0: {(0, 1)}, 1: set()}
-    trees = _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built, {})
-    assert trees[0] == new and built[0] == {(0, 2)}
+    forest = _Forest(h, {0: old, 1: frozenset({(0, 2)})}, built, {})
+    forest.run([0])
+    assert forest.trees[0] == new and built[0] == {(0, 2)}
     # The same free set again keeps whatever tree is there.
-    assert _execute_sequence(h, [0], {0: old, 1: frozenset({(0, 2)})}, built, {})[0] == old
+    forest = _Forest(h, {0: old, 1: frozenset({(0, 2)})}, built, {})
+    forest.run([0])
+    assert forest.trees[0] == old
 
 
 def test_iteration_skip_saves_tree_computations(monkeypatch):
@@ -212,11 +215,13 @@ def test_recomputing_a_tree_never_lengthens_the_support():
             emsts = {s: frozenset(emst(sorted(h.hyperedges[s]), h).edges) for s in cycle}
             runs = [(emsts, cycle * 4), ({}, cycle * 3)]
         for trees, steps in runs:
+            forest = _Forest(h, trees, {}, {})
             for s in steps:
-                before = total_length(_union_support(trees), h) if s in trees else None
-                trees = _execute_sequence(h, [s], trees, {}, {})
+                before = total_length(forest.run(()), h) if s in forest.trees else None
+                forest.built.clear()  # rebuild at every step
+                after = total_length(forest.run([s]), h)
                 if before is not None:
-                    assert total_length(_union_support(trees), h) <= before + 1e-6, (h.k, s)
+                    assert after <= before + 1e-6, (h.k, s)
                     recomputed += 1
     assert recomputed > 300
 
@@ -504,7 +509,7 @@ def test_seed_check_sees_crossing_longest_edges():
 
 def test_seed_check_sees_crossing_pairs_outside_every_hyperedge():
     # (0, 1) and (2, 3) lie in no hyperedge and cross each other. Such
-    # pairs are indexed after every candidate and lie in no stored mask,
+    # pairs are indexed after every candidate and lie in no mask,
     # so their crossing is found by testing them pairwise.
     h = hg([(0, 0), (2, 2), (0, 2), (2, 0)], [{0, 2}, {1, 3}])
     seed = SupportGraph.from_pairs([(0, 2), (1, 3), (0, 1), (2, 3)])
@@ -893,15 +898,16 @@ def test_tree_cuts_equal_depth_first_bridges():
 def _reference_tables(h, seed):
     """_Tables' pair data built the way it was before the one-pass build:
     each pair's held mask from the hyperedges' member lists, ranked by
-    (h.edge_length, u, v) tuples. Returns (pairs, plen, held, index,
-    incident, within, common, stored)."""
+    (h.edge_length, u, v) tuples and kept up to the seed's longest edge.
+    Returns (pairs, plen, held, index, incident, within, common)."""
     held = {}
     for s, members in enumerate(h.hyperedges):
         mem = sorted(members)
         for i, a in enumerate(mem):
             for b in mem[i + 1:]:
                 held[a, b] = held.get((a, b), 0) | 1 << s
-    ranked = sorted((h.edge_length(a, b), a, b) for a, b in held)
+    longest = max((h.edge_length(*e) for e in seed.edges), default=0.0)
+    ranked = [r for r in sorted((h.edge_length(a, b), a, b) for a, b in held) if r[0] <= longest]
     plen = [w for w, _, _ in ranked]
     pairs = [(a, b) for _, a, b in ranked]
     held_of = [held[e] for e in pairs]
@@ -916,14 +922,14 @@ def _reference_tables(h, seed):
             if m >> s & 1:
                 mask &= within[s]
         common[m] = mask
-    longest = max((h.edge_length(*e) for e in seed.edges), default=0.0)
-    stored = sum(w <= longest for w in plen)
-    return pairs, plen, held_of, index, incident, within, common, stored
+    return pairs, plen, held_of, index, incident, within, common
 
 
 def test_one_pass_tables_match_the_reference_build():
     # The lengths are compared bit for bit (float.hex), and a seed pair that
     # no hyperedge holds still gets the next index, after every candidate.
+    # Exactly the candidates no longer than the seed's longest edge are
+    # indexed; asking for a longer one raises.
     rng = random.Random(31)
     cases = [(generate(n, k, scheme, random.Random(500 + i)), None)
              for i, (n, k, scheme) in enumerate(
@@ -931,12 +937,12 @@ def test_one_pass_tables_match_the_reference_build():
                  for scheme in DegreeScheme)]
     cases += [(_grid_instance(rng), None) for _ in range(10)]
     cases += [_bridged_instance(seed)[:2] for seed in range(4)]  # a seed pair in no hyperedge
-    outside = 0
+    outside = beyond = 0
     for h, seed in cases:
         if seed is None:
             seed = star_support(h) if h.core() else mst_iteration(h).support
         tables = _Tables(h, seed)
-        pairs, plen, held, index, incident, within, common, stored = _reference_tables(h, seed)
+        pairs, plen, held, index, incident, within, common = _reference_tables(h, seed)
         m = tables.ncand
         assert m == len(pairs) and tables.pairs[:m] == pairs
         assert [w.hex() for w in tables.plen[:m]] == [w.hex() for w in plen]
@@ -944,10 +950,20 @@ def test_one_pass_tables_match_the_reference_build():
         assert {e: tables.index[e] for e in pairs} == index
         assert tables.incident == incident and tables.within == within
         assert {m: tables.common[m] for m in common} == common
-        assert tables.stored == stored
-        # The seed's pairs that no hyperedge holds, indexed while the seed's
-        # longest edge was found, after every candidate.
+        longest = max(h.edge_length(*e) for e in seed.edges)
+        for e in model.candidate_edges(h):
+            if h.edge_length(*e) <= longest:
+                assert tables.index[e] < m
+            else:
+                assert e not in tables.index
+                with pytest.raises(ValueError):
+                    tables.index_of(e)
+                beyond += 1
+        # The seed's pairs that no hyperedge holds, indexed on first use,
+        # after every candidate.
         extra = {e for e in seed.edges if e not in index}
+        for e in extra:
+            tables.index_of(e)
         assert set(tables.pairs[m:]) == extra and len(tables.pairs) == m + len(extra)
         outside += len(extra)
         for i in range(m, len(tables.pairs)):
@@ -955,15 +971,32 @@ def test_one_pass_tables_match_the_reference_build():
             assert tables.index[e] == tables.index_of(e) == i and tables.held[i] == 0
             assert tables.plen[i].hex() == h.edge_length(*e).hex()
         assert len(tables.index) == len(tables.pairs)
-    assert outside == 4
+    assert outside == 4 and beyond > 1000
+
+
+def test_tables_refuse_a_held_pair_beyond_the_bound():
+    # The star at 0 is the seed, its longest edge sqrt(2): (1, 2) is exactly
+    # as long and indexed, (1, 3) and (2, 3) are longer and held by
+    # hyperedge 0, so asking for them raises rather than indexing them as
+    # pairs that no hyperedge holds. (3, 4) lies in no hyperedge and is
+    # indexed after every candidate.
+    h = hg([(0, 0), (1, 0), (0, 1), (-1, -1), (0, -0.5)], [{0, 1, 2, 3}, {0, 4}])
+    tables = _Tables(h, star_support(h))
+    assert tables.pairs == [(0, 4), (0, 1), (0, 2), (0, 3), (1, 2)] == tables.pairs[:tables.ncand]
+    for e in ((1, 3), (2, 3)):
+        for lookup in (tables.index_of, tables.length, tables.hyps):
+            with pytest.raises(ValueError):
+                lookup(e)
+    assert tables.index_of((3, 4)) == tables.ncand and tables.held[-1] == 0
+    assert tables.hyps((3, 4)) == () and len(tables.pairs) == tables.ncand + 1
 
 
 def _plane_counts(searcher):
-    """Per stored pair, the number of support edges whose segments conflict
-    with it, counted pairwise."""
+    """Per indexed candidate, the number of support edges whose segments
+    conflict with it, counted pairwise."""
     h, t = searcher.h, searcher.t
     return [sum(segments_conflict(h.segment(*t.pairs[i]), h.segment(*x)) for x in searcher.edges)
-            for i in range(t.stored)]
+            for i in range(t.ncand)]
 
 
 def test_copied_seed_counts_equal_a_fresh_count():
@@ -984,13 +1017,13 @@ def test_copied_seed_counts_equal_a_fresh_count():
             while True:
                 fresh = _plane_counts(searcher)
                 kept = [sum((plane >> j & 1) << b for b, plane in enumerate(searcher.counts))
-                        for j in range(tables.stored)]
+                        for j in range(tables.ncand)]
                 assert kept == fresh
-                assert [searcher.zero >> j & 1 for j in range(tables.stored)] == \
+                assert [searcher.zero >> j & 1 for j in range(tables.ncand)] == \
                     [int(n == 0) for n in fresh]
-                assert [searcher.one >> j & 1 for j in range(tables.stored)] == \
+                assert [searcher.one >> j & 1 for j in range(tables.ncand)] == \
                     [int(n == 1) for n in fresh]
-                assert searcher.zero >> tables.stored == 0
+                assert searcher.zero >> tables.ncand == 0
                 if not searcher.run_round():
                     break
         assert tables.seed_counts() is tables.seed_counts()

@@ -14,13 +14,15 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 
-from .geom import SegmentConflicts
+from .geom import SegmentConflicts, bit_ids
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
                     UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
                     total_length)
-from .heuristics import _climb, _star_seed, mst_iteration
+from .heuristics import _Tables, _climb, mst_iteration
+from .mst import star_support
 
 _TOL = 1e-9
+_LP_WIDTH = 240  # emit_lp wraps a row before a term that would pass this width
 
 
 class InfeasibleError(Exception):
@@ -83,8 +85,9 @@ class IlpModel:
 def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
     """Assemble the integer model for h under the given constraint set.
 
-    Candidate edges are restricted to pairs sharing a hyperedge; crossing
-    constraints appear only in plane mode. Tree mode adds a single global
+    Candidate edges are restricted to pairs sharing a hyperedge, in (u, v)
+    order; crossing constraints appear only in plane mode, in row-major order
+    from one bulk SegmentConflicts query per edge. Tree mode adds a single global
     commodity flowing to the smallest vertex id with a candidate neighbour,
     plus an edge-count row, which together force a spanning tree.
     """
@@ -105,7 +108,9 @@ def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
 
     crossing: list[tuple[Edge, Edge]] = []
     if c.require_plane:
-        crossing = [(edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges)]
+        bulk = SegmentConflicts(h.vertices, edges)
+        crossing = [(e, edges[j]) for i, e in enumerate(edges)  # j > i, as the pair walk
+                    for j in bit_ids(bulk.conflicting(*e) >> i + 1 << i + 1)]
 
     tree_flows: list[tuple[int, int]] = []
     if c.require_acyclic and h.n > 1:
@@ -141,7 +146,7 @@ def _gvar(u: int, v: int) -> str:
 
 
 def _emit_row(out: list[str], name: str, terms: list[tuple[int, str]],
-              relation: str | None, rhs: int | None, limit: int = 240) -> None:
+              relation: str | None, rhs: int | None) -> None:
     # terms are (sign, text); wrapping happens at term granularity so a sign
     # never ends up separated from its variable.
     pieces = [f" {name}:"]
@@ -154,7 +159,7 @@ def _emit_row(out: list[str], name: str, terms: list[tuple[int, str]],
         pieces.append(f"{relation} {rhs}")
     line = pieces[0]
     for piece in pieces[1:]:
-        if len(line) + 1 + len(piece) > limit:
+        if len(line) + 1 + len(piece) > _LP_WIDTH:
             out.append(line)
             line = "  " + piece
         else:
@@ -254,58 +259,58 @@ def emit_lp(m: IlpModel) -> str:
 def _better_solution(new_len: float, new_edges, old_len, old_edges) -> bool:
     """Shared preference: shorter wins; near-ties go to the lexicographically
     smaller sorted edge list."""
-    if old_len is None:
-        return True
-    if new_len < old_len - _TOL:
-        return True
-    if new_len <= old_len + _TOL and sorted(new_edges) < sorted(old_edges):
-        return True
-    return False
+    return (old_len is None or new_len < old_len - _TOL
+            or new_len <= old_len + _TOL and sorted(new_edges) < sorted(old_edges))
 
 
-def _greedy_support(h: Hypergraph, c: ConstraintSet):
-    """Cheap constrained construction used only to seed the search when the
-    core is empty; may fail (returns None)."""
-    cands = sorted(candidate_edges(h), key=lambda e: (h.edge_length(*e), e))
+def _tables(h: Hypergraph) -> _Tables:
+    """The one candidate table of a solve: every candidate pair, ranked,
+    with the star as its seed when the core is nonempty (else no edges)."""
+    return _Tables(h, star_support(h) if h.core() else SupportGraph(frozenset()), math.inf)
+
+
+def _conflict_list(t: _Tables, i: int) -> list[int]:
+    """The ascending ranks of the other candidates conflicting with candidate i."""
+    return [j for j in bit_ids(t.conflicts_of(t.pairs[i])) if j != i]
+
+
+def _greedy_support(t: _Tables, c: ConstraintSet):
+    """A seed for an empty core, or None: in rank order, every candidate that
+    joins two parts of a hyperedge holding it and keeps c."""
+    h = t.h
     per_hyp = [DisjointSet(h.n) for _ in range(h.k)]
     global_dsu = DisjointSet(h.n) if c.require_acyclic else None
     chosen: list[Edge] = []
-    # Candidates that conflict with a chosen edge, under the plane regimes,
-    # as a bitmask over their positions in cands.
-    blocked = 0
-    bulk = SegmentConflicts(h.vertices, cands) if c.require_plane else None
-    for i, e in enumerate(cands):
-        u, v = e
-        holding = [s for s, mem in enumerate(h.hyperedges) if u in mem and v in mem]
+    blocked = 0  # the ranks of the candidates conflicting with a kept edge
+    for i in range(t.ncand):
+        u, v = e = t.pairs[i]
+        holding = t.split[t.held[i]]
         if blocked >> i & 1 or all(per_hyp[s].connected(u, v) for s in holding):
             continue
         if global_dsu is not None and global_dsu.union(u, v) is None:
             continue
         chosen.append(e)
-        if bulk is not None:
-            blocked |= bulk.conflicting(u, v)
+        if c.require_plane:
+            blocked |= t.conflicts_of(e)
         for s in holding:
             per_hyp[s].union(u, v)
     g = SupportGraph(frozenset(chosen))
-    if satisfies(g, h, c):
-        return g
-    return None
+    return g if satisfies(g, h, c) else None
 
 
-def _initial_incumbent(h: Hypergraph, c: ConstraintSet):
+def _initial_incumbent(t: _Tables, c: ConstraintSet):
     """A feasible support, or None: one climb under c alone (a bound needs no
-    nesting) from the star if it fits c, else mst_iteration's, else greedy's."""
-    if h.core():
-        star, tables, star_fits = _star_seed(h)
-        if star_fits(c):
-            report = _climb(tables, c, star)
-            return report.length, frozenset(report.support.edges)
-    report = mst_iteration(h)
-    if satisfies(report.support, h, c):
+    nesting) on t from its seed, the star, if that fits c, else mst_iteration's,
+    else greedy's. The climb reads no pair longer than the star's longest edge."""
+    if t.h.core() and (not c.require_plane or t.is_plane(t.seed.edges)):
+        report = _climb(t, c, t.seed)
         return report.length, frozenset(report.support.edges)
-    g = _greedy_support(h, c)
+    report = mst_iteration(t.h)
+    if satisfies(report.support, t.h, c):
+        return report.length, frozenset(report.support.edges)
+    g = _greedy_support(t, c)
     if g is not None:
-        return total_length(g, h), frozenset(g.edges)
+        return total_length(g, t.h), frozenset(g.edges)
     return None
 
 
@@ -425,6 +430,9 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     nothing feasible and LimitsExceededError when caps bite before any
     incumbent exists. A capped search returns proven_optimal=False and its
     seed (one star-seeded climb under c, if the star fits c) or better.
+    One _Tables over every candidate gives the branching order, lengths and
+    index, the seed climb and, under p and pt, each candidate's conflicts,
+    read off its bulk index when the search first tries to include it.
 
     The bound is kept incrementally. Every entry (one per hyperedge, one
     per component of two or more hyperedges) has a weight matrix updated in
@@ -442,11 +450,9 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     support are those of the per-hyperedge bound alone, from fewer nodes.
     """
     limits = limits or SolveLimits()
-    cands = candidate_edges(h)
-    order = sorted(cands, key=lambda e: (h.edge_length(*e), e))
-    m = len(order)
-    elen = [h.edge_length(*e) for e in order]
-    idx_of = {e: i for i, e in enumerate(order)}
+    tables = _tables(h)
+    m = tables.ncand
+    order, elen, idx_of = tables.pairs[:m], tables.plen, tables.index
     inf = math.inf
     k = h.k
 
@@ -491,12 +497,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             add_entry(sorted(set().union(*(h.hyperedges[s] for s in grp))))
     nent = len(weights)
 
-    conflicts: list[list[int]] = [[] for _ in range(m)]
-    if c.require_plane:
-        for i, j in conflict_index_pairs(h, order):
-            conflicts[i].append(j)
-            conflicts[j].append(i)
-
+    conflicts: list[list[int] | None] = [None] * m  # by rank, on a first inclusion
     status = bytearray(m)  # 0 undecided, 1 in, 2 out
 
     def set_status(eidx: int, st: int) -> None:
@@ -537,7 +538,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             values[s] += delta
         return True
 
-    seed = _initial_incumbent(h, c)
+    seed = _initial_incumbent(tables, c)
     best_len, best_edges = seed if seed is not None else (None, None)
 
     included: list[int] = []
@@ -586,6 +587,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             return
 
         u, v = order[d]
+        if c.require_plane and conflicts[d] is None:
+            conflicts[d] = _conflict_list(tables, d)
         feasible = not (c.require_plane and any(status[j] == 1 for j in conflicts[d]))
         token = None
         if feasible and gdsu is not None:
@@ -662,7 +665,7 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
                 locs.append((s, local_index[s][u], local_index[s][v]))
         edge_locals.append(locs)
 
-    seed = _initial_incumbent(h, c)
+    seed = _initial_incumbent(_tables(h), c)
     best_len, best_edges = seed if seed is not None else (None, None)
 
     in_flag = bytearray(m)

@@ -140,6 +140,11 @@ def bit_mask(ids, size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def bit_ids(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending, off its binary digits."""
+    return [found.start() for found in _ONES(bin(mask)[:1:-1])]
+
+
 def incident_masks(pairs, n: int) -> list[int]:
     """By point 0..n-1, the bitmask of the positions in `pairs` of the
     pairs ending there; one pass sets each bit in the bytes of both ends."""

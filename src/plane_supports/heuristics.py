@@ -205,15 +205,16 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
 
 class _Tables:
     """Regime-independent data of one hypergraph and seed, shared by every
-    climb of a local_search call.
+    climb of a local_search call or of a solve_exact call.
 
-    A replacement pair is strictly shorter than the edge it replaces, so no
-    climb from the seed, or from a support climbed from it, adds a candidate
-    pair (two vertices of one hyperedge) longer than the seed's longest
-    edge. Only the ncand candidates up to that bound are indexed (those as
-    long too, so that is_plane decides the seed's own planarity from the
-    same sets), each by its rank in (length, u, v) order: pairs[i], plen[i]
-    and held[i], the bitmask of the hyperedges holding it. Sets of pairs are
+    The ncand candidate pairs (two vertices of one hyperedge) no longer than
+    `bound` are indexed by rank in (length, u, v) order: pairs[i], plen[i]
+    (h.edge_length's value) and held[i], the bitmask of the hyperedges
+    holding it. A replacement pair is strictly shorter than the edge it
+    replaces, so no climb from the seed, or from a support climbed from it,
+    adds a pair longer than the seed's longest edge, the default bound (pairs
+    as long are indexed, so that is_plane decides the seed's planarity from
+    the same sets); solve_exact indexes every candidate. Sets of pairs are
     Python-int bitmasks over these indices, so ascending bits are ascending
     (length, u, v): within[s] holds hyperedge s's pairs and incident[v] the
     pairs ending at v. index_of refuses a candidate beyond the bound, and
@@ -222,7 +223,7 @@ class _Tables:
     edge x, and seed_counts() how many seed edges each one conflicts with.
     """
 
-    def __init__(self, h: Hypergraph, seed: SupportGraph):
+    def __init__(self, h: Hypergraph, seed: SupportGraph, bound: float | None = None):
         self.h = h
         self.seed = seed
         n = h.n
@@ -230,7 +231,8 @@ class _Tables:
         ys = [p.y for p in h.vertices]
         # A pair is a candidate when some hyperedge holds both ends.
         mh = h.vertex_masks
-        longest = max((h.edge_length(*e) for e in seed.edges), default=0.0)
+        if bound is None:
+            bound = max((h.edge_length(*e) for e in seed.edges), default=0.0)
         hypot = math.hypot
         lens, ends, helds = [], [], []
         for a in range(n):
@@ -239,7 +241,7 @@ class _Tables:
                 held = ma & mh[b]
                 if held:
                     w = hypot(xs[b] - ax, ys[b] - ay)  # h.edge_length(a, b)
-                    if w <= longest:
+                    if w <= bound:
                         lens.append(w)
                         ends.append((a, b))
                         helds.append(held)
@@ -275,7 +277,7 @@ class _Tables:
         i = self.index.get(e)
         if i is None:  # a pair of a caller's seed that no hyperedge holds, else refused
             if self.h.vertex_masks[e[0]] & self.h.vertex_masks[e[1]]:
-                raise ValueError(f"candidate pair {e} is longer than the seed's longest edge")
+                raise ValueError(f"candidate pair {e} is longer than the tables' bound")
             i = self.index[e] = len(self.pairs)
             self.pairs.append(e)
             self.plen.append(self.h.edge_length(*e))
@@ -335,7 +337,7 @@ class _Tables:
 
     def is_plane(self, edges) -> bool:
         """model.is_plane's answer for `edges`, pairs no longer than the
-        seed's longest edge (the seed's own edges, for instance): no edge's
+        bound (the seed's own edges, for instance): no edge's
         conflicts_of set holds another of them. Pairs that no hyperedge
         holds lie in no conflicts_of set, so those are tested pairwise."""
         ids = {e: self.index_of(e) for e in edges}

@@ -252,14 +252,9 @@ def conflict_index_pairs(h: Hypergraph, edges) -> Iterator[tuple[int, int]]:
                 yield i, j
 
 
-def conflicting_edge_pairs(g: SupportGraph, h: Hypergraph) -> list[tuple[Edge, Edge]]:
-    """All pairs of distinct support edges whose segments conflict."""
-    edges = g.sorted_edges()
-    return [(edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges)]
-
-
 def crossing_count(g: SupportGraph, h: Hypergraph) -> int:
-    return len(conflicting_edge_pairs(g, h))
+    """The number of pairs of distinct support edges whose segments conflict."""
+    return sum(1 for _ in conflict_index_pairs(h, g.sorted_edges()))
 
 
 def is_plane(g: SupportGraph, h: Hypergraph) -> bool:

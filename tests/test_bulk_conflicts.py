@@ -1,7 +1,9 @@
 """Property tests: the bulk conflict query, as built alone and as local
 search builds it, and the float pairwise walk give the answers of
 segments_conflict, on float and integer-grid point sets, some of them wider
-than one 64-bit word of a side bitmask."""
+than one 64-bit word of a side bitmask; the exact solver's conflict lists
+and build_model's crossing rows, both read off the bulk query, give the
+walk's pairs."""
 
 import random
 
@@ -10,9 +12,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from plane_supports.exact import _conflict_list, _tables, build_model  # noqa: E402
 from plane_supports.geom import Point, Segment, SegmentConflicts, segments_conflict  # noqa: E402
 from plane_supports.heuristics import _Tables  # noqa: E402
-from plane_supports.model import Hypergraph, SupportGraph, conflict_index_pairs  # noqa: E402
+from plane_supports.model import (PLANE, Hypergraph, SupportGraph, candidate_edges,  # noqa: E402
+                                  conflict_index_pairs)
 
 # (grid side, fewest points, most points) per layout; side None means
 # uniform floats. Grids give collinear overlaps, endpoints in interiors and
@@ -95,3 +99,29 @@ def test_the_index_local_search_builds_matches_the_pairwise_predicate(layout, da
         expected = sum(1 << i for i, (c, d) in enumerate(tables.pairs[:tables.ncand])
                        if segments_conflict(query, Segment(points[c], points[d])))
         assert tables.conflicts_of((a, b)) == expected, (a, b)
+
+
+@pytest.mark.parametrize("layout", ["floats", "grid"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_conflict_lists_and_crossing_rows_match_the_pairwise_walk(layout, data):
+    # solve_exact numbers the candidates by rank in its _Tables, build_model
+    # in (u, v) order; each reads a candidate's conflicts off one bulk query,
+    # and must list the pairs of the conflict_index_pairs walk over the same
+    # candidates. The cores may be empty.
+    points = data.draw(point_sets(layout))
+    n = len(points)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    hyperedges = [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 4))]
+    hyperedges[-1] |= set(range(n)).difference(*hyperedges)
+    h = Hypergraph(tuple(points), tuple(map(frozenset, hyperedges)))
+    tables = _tables(h)
+    ranked = tables.pairs[:tables.ncand]
+    expected = [[] for _ in ranked]
+    for i, j in conflict_index_pairs(h, ranked):
+        expected[i].append(j)
+        expected[j].append(i)
+    assert [_conflict_list(tables, i) for i in range(tables.ncand)] == expected
+    edges = candidate_edges(h)
+    assert build_model(h, PLANE).crossing_pairs == \
+        tuple((edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges))

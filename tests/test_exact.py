@@ -5,11 +5,11 @@ import pytest
 
 from plane_supports import exact, heuristics
 from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededError,
-                                  SolveLimits, _greedy_support, brute_force_oracle,
+                                  SolveLimits, _greedy_support, _tables, brute_force_oracle,
                                   build_model, emit_lp, solve_exact)
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.harness import TrialConfig
-from plane_supports.heuristics import mst_approximation
+from plane_supports.heuristics import _climb, _star_seed, mst_approximation
 from plane_supports.geom import segments_conflict
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, Hypergraph,
                                   PLANE, PLANE_TREE, TREE, UNRESTRICTED, SupportGraph,
@@ -479,7 +479,7 @@ def test_greedy_seed_under_plane_regimes(points, hyperedges, edges, nodes_p, nod
     assert not h.core()
     now_p, now_pt = _EMPTY_CORE_NODES[nodes_p, nodes_pt]
     for c, ceiling, nodes in ((PLANE, nodes_p, now_p), (PLANE_TREE, nodes_pt, now_pt)):
-        greedy = _greedy_support(h, c)
+        greedy = _greedy_support(_tables(h), c)
         assert greedy == _greedy_reference(h, c)
         assert greedy.sorted_edges() == edges
         res = solve_exact(h, c)
@@ -532,7 +532,7 @@ def test_greedy_seed_matches_pairwise_scan():
     # under p and pt, and so does the search.
     h = hg([(0, -1), (0, 1), (-1, 0), (1, 0)], [{0, 1}, {2, 3}])
     for c in (PLANE, PLANE_TREE):
-        assert _greedy_support(h, c) is None
+        assert _greedy_support(_tables(h), c) is None
         with pytest.raises(InfeasibleError):
             solve_exact(h, c)
     # Random instances, half on an integer grid (collinear overlaps and
@@ -551,7 +551,64 @@ def test_greedy_seed_matches_pairwise_scan():
             hyps[rng.randrange(k)].add(v)
         h = hg(points, hyps)
         for c in ALL_CONSTRAINTS:
-            greedy = _greedy_support(h, c)
+            greedy = _greedy_support(_tables(h), c)
             assert greedy == _greedy_reference(h, c), (trial, c.label)
             found += greedy is not None and c.require_plane
     assert found > 100
+
+
+def _grid_6x6(rng):
+    # 14 cells of a 6 x 6 grid (equal lengths, collinear triples), vertex 0
+    # in every hyperedge, so the core is never empty.
+    cells = rng.sample([(x, y) for x in range(6) for y in range(6)], 14)
+    order = rng.sample(range(1, 14), 13)
+    return hg(cells, [{0, *order[i:i + 5], *rng.sample(range(1, 14), 2)} for i in (0, 5, 9)])
+
+
+def test_exact_table_ranks_every_candidate():
+    # solve_exact's one _Tables indexes every candidate_edges pair, in
+    # (edge_length, e) order, with lengths bit-equal to edge_length; its
+    # seed is the star, or no edges when the core is empty.
+    rng = random.Random(41)
+    cases = [generate(n, k, scheme, random.Random(900 + 10 * n + k))
+             for n in (3, 8, 20) for k in (1, 3, 5) for scheme in DegreeScheme]
+    cases += [_grid_6x6(rng) for _ in range(6)]
+    cases += [hg(points, hyps) for points, hyps, *_ in EMPTY_CORE_PLANE + MULTI_COMPONENT]
+    empty = 0
+    for h in cases:
+        t = _tables(h)
+        ranked = sorted(candidate_edges(h), key=lambda e: (h.edge_length(*e), e))
+        assert t.ncand == len(t.pairs) == len(ranked) and t.pairs == ranked
+        assert [w.hex() for w in t.plen] == [h.edge_length(*e).hex() for e in ranked]
+        assert t.index == {e: i for i, e in enumerate(ranked)}
+        assert t.seed == (star_support(h) if h.core() else SupportGraph(frozenset()))
+        empty += not h.core()
+    assert empty >= 10
+
+
+def test_climbs_on_the_exact_table_equal_local_search_climbs():
+    # The exact table indexes every candidate, local search's only those no
+    # longer than the star's longest edge; a climb reads no longer pair, so
+    # the star-seeded climbs agree in every regime: support, rounds and
+    # length to the last bit.
+    rng = random.Random(43)
+    cases = [generate(n, k, DegreeScheme.MID, random.Random(950 + 10 * n + k))
+             for n in (8, 14, 24) for k in (2, 3, 4)]
+    cases += [generate(14, 4, DegreeScheme.MID, random.Random(970 + i)) for i in range(8)]
+    cases += [_grid_6x6(rng) for _ in range(16)]
+    climbs = dict.fromkeys(("u", "t", "p", "pt"), 0)
+    wider = 0
+    for h in cases:
+        star, bounded, fits = _star_seed(h)
+        unbounded = _tables(h)
+        assert unbounded.seed == star and unbounded.pairs[:bounded.ncand] == bounded.pairs
+        wider += unbounded.ncand > bounded.ncand
+        for c in ALL_CONSTRAINTS:
+            if not fits(c):
+                assert not unbounded.is_plane(star.edges)
+                continue
+            a, b = _climb(bounded, c, star), _climb(unbounded, c, star)
+            assert (a.support, a.rounds_or_passes, repr(a.length)) == \
+                (b.support, b.rounds_or_passes, repr(b.length)), c.label
+            climbs[c.label] += 1
+    assert wider >= 25 and min(climbs.values()) >= 12, climbs

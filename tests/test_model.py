@@ -9,7 +9,7 @@ from plane_supports.gen import DegreeScheme, generate
 from plane_supports.heuristics import mst_approximation
 from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE,
                                   PLANE_TREE, SupportGraph, TREE, UNRESTRICTED,
-                                  candidate_edges, conflicting_edge_pairs, crossing_count,
+                                  candidate_edges, conflict_index_pairs, crossing_count,
                                   hyperedge_induced_connected, is_acyclic, is_plane,
                                   is_support, satisfies, total_length)
 from plane_supports.mst import star_support
@@ -131,7 +131,8 @@ def test_conflict_pairs_in_row_major_order_and_is_plane_stops_at_first(monkeypat
         edges = g.sorted_edges()
         expected = [(a, b) for i, a in enumerate(edges) for b in edges[i + 1:]
                     if segments_conflict(h.segment(*a), h.segment(*b))]
-        assert conflicting_edge_pairs(g, h) == expected
+        assert [(edges[i], edges[j]) for i, j in conflict_index_pairs(h, edges)] == expected
+        assert crossing_count(g, h) == len(expected)
         assert is_plane(g, h) == (not expected)
 
     calls = []

@@ -37,7 +37,12 @@ class LimitsExceededError(Exception):
 class SolveLimits:
     """Caps on solve_exact's search: nodes explored and seconds. None means
     no cap. A negative or NaN cap is rejected: NaN would never compare
-    greater than the elapsed time, so the cap would be silently ignored."""
+    greater than the elapsed time, so the cap would be silently ignored.
+
+    time_cap counts from solve_exact's entry, so it includes the set-up (the
+    candidate table and the seed climb) as well as the search. The clock is
+    read every 128 search nodes; a set-up that outlasts the cap runs to its
+    end, and the search then stops at its first check."""
 
     node_cap: int | None = None
     time_cap: float | None = None
@@ -429,7 +434,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     valid bound too. Raises InfeasibleError when the completed search finds
     nothing feasible and LimitsExceededError when caps bite before any
     incumbent exists. A capped search returns proven_optimal=False and its
-    seed (one star-seeded climb under c, if the star fits c) or better.
+    seed (one star-seeded climb under c, if the star fits c) or better. The
+    time cap counts from this call's entry (see SolveLimits).
     One _Tables over every candidate gives the branching order, lengths and
     index, the seed climb and, under p and pt, each candidate's conflicts,
     read off its bulk index when the search first tries to include it.
@@ -449,6 +455,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     subtrees longer than the incumbent plus _TOL, so the incumbents and the
     support are those of the per-hyperedge bound alone, from fewer nodes.
     """
+    t_start = time.perf_counter()
     limits = limits or SolveLimits()
     tables = _tables(h)
     m = tables.ncand
@@ -545,7 +552,6 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     gdsu = DisjointSet(h.n) if c.require_acyclic else None
     nodes = 0
     committed = 0.0
-    t_start = time.perf_counter()
 
     def dfs(depth: int, values: list[float], parents: list, dirty: set[int]) -> None:
         # Edge depth - 1 was decided on the way here; dirty holds the

@@ -57,6 +57,8 @@ _TIE_EPS = 1e-9
 _STRICT_EPS = 1e-12
 # The most pairs that one swap adds, under the non-acyclic regimes.
 _MAX_REPLACEMENT = 3
+# The most recomputation passes of mst_iteration's default schedule.
+_MAX_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ def mst_approximation(h: Hypergraph) -> SolveReport:
     return SolveReport(SupportGraph(frozenset(weights)), math.fsum(weights.values()), 1)
 
 
-def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveReport:
+def mst_iteration(h: Hypergraph, sequence=None) -> SolveReport:
     """Iterated per-hyperedge MSTs with zero-weight reuse of support edges.
 
     With an explicit sequence the steps run exactly as given. Otherwise, for
@@ -157,7 +159,7 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
     and the shorter support wins (this is already stable); for one or more
     than two hyperedges every tree starts as its isolated EMST and round-robin
     recomputation passes run until a pass leaves the edge set unchanged,
-    capped at max_passes. Either way the result is never longer than
+    at most _MAX_PASSES of them. Either way the result is never longer than
     mst_approximation's.
 
     Prim runs once per hyperedge and call, for its EMST; every other tree
@@ -195,7 +197,7 @@ def mst_iteration(h: Hypergraph, sequence=None, max_passes: int = 20) -> SolveRe
                      {s: set() for s in range(k)}, orders)
     support = forest.run(())
     passes = 0
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         passes += 1
         before, support = support, forest.run(range(k))
         if support == before:

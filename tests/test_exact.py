@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,6 +306,28 @@ def test_error_inside_the_incumbent_climb_propagates(monkeypatch):
     monkeypatch.setattr(exact, "mst_iteration", no_fallback)
     with pytest.raises(ValueError, match="climb failed"):
         solve_exact(h, UNRESTRICTED)
+
+
+def test_time_cap_counts_from_entry(monkeypatch):
+    # A fake clock that only the set-up advances: a set-up past the cap
+    # stops the search at its first time check, node 128, with its seed.
+    h = generate(9, 3, DegreeScheme.MID, random.Random(3))
+    full = solve_exact(h, UNRESTRICTED)
+    assert full.nodes_explored > 128
+    clock = [0.0]
+    monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    assert solve_exact(h, UNRESTRICTED, SolveLimits(time_cap=1.0)) == full
+    real_incumbent = exact._initial_incumbent
+
+    def slow_set_up(t, c):
+        clock[0] += 10.0
+        return real_incumbent(t, c)
+
+    monkeypatch.setattr(exact, "_initial_incumbent", slow_set_up)
+    res = solve_exact(h, UNRESTRICTED, SolveLimits(time_cap=1.0))
+    assert (res.proven_optimal, res.nodes_explored) == (False, 128)
+    assert satisfies(res.support, h, UNRESTRICTED)
+    assert res.length >= full.length - 1e-9
 
 
 def test_star_violating_the_regime_falls_back():

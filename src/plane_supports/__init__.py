@@ -13,9 +13,8 @@ from .model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, PLANE, PLANE_TRE
                     hyperedge_induced_connected, is_acyclic, is_plane, is_support,
                     satisfies, total_length)
 from .mst import EmptyCoreError, emst, mst_with_free_edges, star_support
-from .heuristics import (ComputationSequence, SolveReport, local_search, local_search_all,
-                         local_search_round, local_search_seeded, mst_approximation,
-                         mst_iteration)
+from .heuristics import (SolveReport, local_search, local_search_all, local_search_round,
+                         local_search_seeded, mst_approximation, mst_iteration)
 from .exact import (ExactResult, IlpModel, InfeasibleError, LimitsExceededError,
                     SolveLimits, brute_force_oracle, build_model, emit_lp, solve_exact)
 from .gen import DegreeScheme, adversarial_family, degree_array, generate

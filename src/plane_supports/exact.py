@@ -18,10 +18,9 @@ from .geom import SegmentConflicts, bit_ids
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
                     UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
                     total_length)
-from .heuristics import _Tables, _climb, mst_iteration
+from .heuristics import _TIE_EPS, _Tables, _climb, mst_iteration
 from .mst import star_support
 
-_TOL = 1e-9
 _LP_WIDTH = 240  # emit_lp wraps a row before a term that would pass this width
 
 
@@ -41,8 +40,8 @@ class SolveLimits:
 
     time_cap counts from solve_exact's entry, so it includes the set-up (the
     candidate table and the seed climb) as well as the search. The clock is
-    read every 128 search nodes; a set-up that outlasts the cap runs to its
-    end, and the search then stops at its first check."""
+    read at every search node; a set-up that outlasts the cap runs to its
+    end, and the search then stops at its first node."""
 
     node_cap: int | None = None
     time_cap: float | None = None
@@ -264,8 +263,8 @@ def emit_lp(m: IlpModel) -> str:
 def _better_solution(new_len: float, new_edges, old_len, old_edges) -> bool:
     """Shared preference: shorter wins; near-ties go to the lexicographically
     smaller sorted edge list."""
-    return (old_len is None or new_len < old_len - _TOL
-            or new_len <= old_len + _TOL and sorted(new_edges) < sorted(old_edges))
+    return (old_len is None or new_len < old_len - _TIE_EPS
+            or new_len <= old_len + _TIE_EPS and sorted(new_edges) < sorted(old_edges))
 
 
 def _tables(h: Hypergraph) -> _Tables:
@@ -435,7 +434,8 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     nothing feasible and LimitsExceededError when caps bite before any
     incumbent exists. A capped search returns proven_optimal=False and its
     seed (one star-seeded climb under c, if the star fits c) or better. The
-    time cap counts from this call's entry (see SolveLimits).
+    time cap counts from this call's entry and is checked at every node
+    (see SolveLimits).
     One _Tables over every candidate gives the branching order, lengths and
     index, the seed climb and, under p and pt, each candidate's conflicts,
     read off its bulk index when the search first tries to include it.
@@ -449,11 +449,11 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     edge the lightest edge across the cut it leaves (_tree_cut_replace).
     Prim runs only at the root and for entries whose tree lost an edge to a
     forced-out conflict; those values are bit-exact, and swapped ones carry
-    rounding from their running sums, far inside _TOL, so the leaf test
+    rounding from their running sums, far inside _TIE_EPS, so the leaf test
     confirms a near-zero completion with Prim. Component entries are only
     updated where the per-hyperedge bound did not prune. Pruning only drops
-    subtrees longer than the incumbent plus _TOL, so the incumbents and the
-    support are those of the per-hyperedge bound alone, from fewer nodes.
+    subtrees longer than the incumbent plus _TIE_EPS, so the incumbents and
+    the support are those of the per-hyperedge bound alone, from fewer nodes.
     """
     t_start = time.perf_counter()
     limits = limits or SolveLimits()
@@ -560,8 +560,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
         nodes += 1
         if limits.node_cap is not None and nodes > limits.node_cap:
             raise _Capped
-        if limits.time_cap is not None and nodes % 128 == 0 \
-                and time.perf_counter() - t_start > limits.time_cap:
+        if limits.time_cap is not None and time.perf_counter() - t_start > limits.time_cap:
             raise _Capped
 
         values = values[:]
@@ -569,9 +568,9 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
         if not refresh(0, k, depth - 1, values, parents, dirty):
             return
         worst = max(values[:k], default=0.0)
-        if best_len is not None and committed + worst > best_len + _TOL:
+        if best_len is not None and committed + worst > best_len + _TIE_EPS:
             return
-        if worst <= _TOL and not any(_prim(weights[s])[0] for s in range(k)):
+        if worst <= _TIE_EPS and not any(_prim(weights[s])[0] for s in range(k)):
             # Committed edges already span every hyperedge (swapped values
             # carry rounding, so Prim confirms it); any deeper node only
             # adds edges, so this is the subtree's best solution.
@@ -583,7 +582,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             if not refresh(k, nent, depth - 1, values, parents, dirty):
                 return
             bound = committed + sum(values[k:]) + sum([values[s] for s in singles])
-            if best_len is not None and bound > best_len + _TOL:
+            if best_len is not None and bound > best_len + _TIE_EPS:
                 return
 
         d = depth
@@ -697,7 +696,7 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
     def dfs(i: int, partial: float) -> None:
         nonlocal best_len, best_edges, nodes
         nodes += 1
-        if best_len is not None and partial > best_len + _TOL:
+        if best_len is not None and partial > best_len + _TIE_EPS:
             return
         if i == m:
             if chosen_is_support():
@@ -712,7 +711,7 @@ def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactR
         if feasible and gdsu is not None:
             token = gdsu.union(*edges[i])
             feasible = token is not None
-        if feasible and (best_len is None or partial + elen[i] <= best_len + _TOL):
+        if feasible and (best_len is None or partial + elen[i] <= best_len + _TIE_EPS):
             in_flag[i] = 1
             chosen.append(i)
             dfs(i + 1, partial + elen[i])

@@ -9,7 +9,7 @@ serialize is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Hypergraph, SupportGraph, edge_key
 

@@ -104,7 +104,8 @@ class TrialRecord:
     proven_optimal: bool | None      # exact only
 
 
-def run_trial(cfg: TrialConfig, trial_id: int = 0) -> TrialRecord:
+def run_trial(cfg: TrialConfig) -> TrialRecord:
+    """One validated solve of cfg's instance, as trial 0 (run_grid numbers by position)."""
     rng = random.Random(cfg.seed)
     h = generate(cfg.n, cfg.k, cfg.scheme, rng)
 
@@ -129,7 +130,7 @@ def run_trial(cfg: TrialConfig, trial_id: int = 0) -> TrialRecord:
             raise RuntimeError(f"solver bug: {cfg.algorithm} output violates "
                                f"'{cfg.constraints.label}' on seed {cfg.seed}")
 
-    return TrialRecord(trial_id, cfg.seed, cfg.n, cfg.k, DegreeScheme(cfg.scheme).value,
+    return TrialRecord(0, cfg.seed, cfg.n, cfg.k, DegreeScheme(cfg.scheme).value,
                        cfg.algorithm, cfg.constraints.label, status, length,
                        elapsed_ms, rounds, proven)
 
@@ -137,34 +138,20 @@ def run_trial(cfg: TrialConfig, trial_id: int = 0) -> TrialRecord:
 def run_grid(templates, trials: int, base_seed: int, parallel: int = 1) -> list[TrialRecord]:
     """Run every template for `trials` seeds; trial t uses base_seed + t.
 
-    Records come back sorted by (template index, trial index) regardless of
-    execution order, so output is deterministic up to the timing fields.
+    Records come back in (template index, trial index) order, numbered by
+    position, so output is deterministic up to the timing fields.
     """
     if trials < 1:
         raise ValueError("need at least one trial per template")
-    jobs = []
-    for t_idx, template in enumerate(templates):
-        for trial in range(trials):
-            cfg = replace(template, seed=base_seed + trial)
-            jobs.append((t_idx, trial, cfg))
-
-    results: dict[tuple[int, int], TrialRecord] = {}
+    cfgs = [replace(template, seed=base_seed + trial)
+            for template in templates for trial in range(trials)]
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = {pool.submit(run_trial, cfg, 0): (t_idx, trial)
-                       for t_idx, trial, cfg in jobs}
-            for fut, key in futures.items():
-                results[key] = fut.result()
+            records = list(pool.map(run_trial, cfgs))
     else:
-        for t_idx, trial, cfg in jobs:
-            results[(t_idx, trial)] = run_trial(cfg, 0)
-
-    records = []
-    for running_id, (t_idx, trial, _cfg) in enumerate(jobs):
-        rec = results[(t_idx, trial)]
-        records.append(replace(rec, trial_id=running_id))
-    return records
+        records = list(map(run_trial, cfgs))
+    return [replace(rec, trial_id=i) for i, rec in enumerate(records)]
 
 
 def records_to_csv(records) -> str:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations, count
 from operator import and_
 
@@ -51,32 +51,14 @@ from .model import (PLANE, PLANE_TREE, TREE, UNRESTRICTED, ConstraintSet, Edge,
 from .mst import complete_with_free_edges, emst_order, mst_with_free_edges, star_support
 
 # Gains below this never commit, which keeps termination independent of
-# floating-point noise; replacement members must undercut the removed edge
-# by more than _STRICT_EPS.
+# floating-point noise (the exact solver ties and prunes within it too);
+# replacement members must undercut the removed edge by more than _STRICT_EPS.
 _TIE_EPS = 1e-9
 _STRICT_EPS = 1e-12
 # The most pairs that one swap adds, under the non-acyclic regimes.
 _MAX_REPLACEMENT = 3
 # The most recomputation passes of mst_iteration's default schedule.
 _MAX_PASSES = 20
-
-
-@dataclass(frozen=True)
-class ComputationSequence:
-    """Order in which per-hyperedge trees are recomputed.
-
-    Consecutive duplicates are rejected: recomputing a tree twice in a row
-    provably changes nothing.
-    """
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("computation sequence is empty")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a == b:
-                raise ValueError(f"consecutive duplicate step {a} is redundant")
 
 
 @dataclass(frozen=True)
@@ -168,8 +150,7 @@ def mst_iteration(h: Hypergraph, sequence=None) -> SolveReport:
     """
     k = h.k
     if sequence is not None:
-        steps = list(sequence.steps) if isinstance(sequence, ComputationSequence) \
-            else [int(x) for x in sequence]
+        steps = [int(x) for x in sequence]
         if not steps:
             raise ValueError("computation sequence is empty")
         for s in steps:
@@ -647,12 +628,10 @@ class _Searcher:
                 if best_total is not None and t2 > best_total + _TIE_EPS:
                     break
                 ed = pairs[j]
-                if ed in chosen:
-                    continue
                 if plane and any(conflict(ed, c2) for c2 in chosen):
                     continue
                 chosen.append(ed)
-                rest = uncovered ^ 1 << bit  # less the other cuts that ed crosses
+                rest = uncovered ^ 1 << bit  # less ed's other cuts: no pool offers ed again
                 for b in range(bit + 1, nb):
                     if pools[b] & low:
                         rest &= ~(1 << b)
@@ -758,17 +737,13 @@ def _star_seed(h: Hypergraph):
     """The star seed, its _Tables, and fits(r): whether the seed satisfies
     regime r, model.satisfies' answer. With a nonempty core the star is
     always a spanning-tree support (see mst.star_support), so only
-    planarity can fail. It is decided once, on the first plane regime
-    asked about, from the conflicts_of sets that the plane climbs from the
-    seed query anyway. Raises EmptyCoreError when the core is empty."""
+    planarity can fail. It is decided once, from the conflicts_of sets
+    that the plane climbs from the seed query anyway; every sweep asks
+    about pt. Raises EmptyCoreError when the core is empty."""
     seed = star_support(h)
     tables = _Tables(h, seed)
-    plane = cache(lambda: tables.is_plane(seed.edges))
-
-    def fits(r: ConstraintSet) -> bool:
-        return not r.require_plane or plane()
-
-    return seed, tables, fits
+    plane = tables.is_plane(seed.edges)
+    return seed, tables, lambda r: not r.require_plane or plane
 
 
 def local_search_all(h: Hypergraph,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from plane_supports.harness import (ALGORITHMS, CSV_COLUMNS, TrialConfig,
                                     run_trial, solve, summarize)
 from plane_supports.heuristics import (local_search, local_search_seeded, mst_approximation,
                                        mst_iteration)
-from plane_supports.model import ALL_CONSTRAINTS, ConstraintSet, PLANE_TREE, UNRESTRICTED
+from plane_supports.model import ALL_CONSTRAINTS, ConstraintSet, PLANE, PLANE_TREE, UNRESTRICTED
 from plane_supports.mst import star_support
 
 
@@ -94,6 +95,23 @@ def test_run_grid_ordering_and_determinism():
         return [row[:drop] + row[drop + 1:] for row in rows]
 
     assert strip_time(records_to_csv(records)) == strip_time(records_to_csv(again))
+
+
+def test_run_grid_parallel_matches_serial():
+    # The process pool returns the serial run's records, time_ms aside:
+    # ids, order, lengths, rounds and proofs (node_cap stops two of three).
+    templates = [
+        TrialConfig(10, 2, DegreeScheme.MID, "mst-iter"),
+        TrialConfig(9, 3, DegreeScheme.MID, "local-search", PLANE),
+        TrialConfig(7, 2, DegreeScheme.LOW, "exact", PLANE_TREE, node_cap=15),
+    ]
+
+    def untimed(records):
+        return [dataclasses.replace(r, time_ms=0.0) for r in records]
+
+    serial = run_grid(templates, trials=3, base_seed=60)
+    assert untimed(run_grid(templates, trials=3, base_seed=60, parallel=2)) == untimed(serial)
+    assert [r.trial_id for r in serial] == list(range(9))
 
 
 def test_csv_layout():

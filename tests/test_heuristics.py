@@ -8,7 +8,7 @@ import pytest
 import plane_supports.model as model
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.geom import segments_conflict
-from plane_supports.heuristics import (_MAX_REPLACEMENT, ComputationSequence, _Forest, _Searcher,
+from plane_supports.heuristics import (_MAX_REPLACEMENT, _Forest, _Searcher,
                                        _Tables, _depth_first, _star_seed,
                                        local_search, local_search_all, local_search_round,
                                        local_search_seeded,
@@ -34,14 +34,6 @@ def hg(points, hyperedges):
 # the two near-half edges), iteration reuses it for free.
 REUSE = hg([(0, 0), (10, 0), (5, 0.1)], [{0, 1}, {0, 1, 2}])
 _HALF = math.sqrt(25 + 0.01)
-
-
-def test_computation_sequence_validation():
-    ComputationSequence((0, 1, 0))
-    with pytest.raises(ValueError):
-        ComputationSequence(())
-    with pytest.raises(ValueError):
-        ComputationSequence((0, 0, 1))
 
 
 def test_mst_approximation_disjoint_pairs():

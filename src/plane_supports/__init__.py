@@ -16,11 +16,10 @@ from .mst import EmptyCoreError, emst, mst_with_free_edges, star_support
 from .heuristics import (SolveReport, local_search, local_search_all, local_search_round,
                          local_search_seeded, mst_approximation, mst_iteration)
 from .exact import (ExactResult, IlpModel, InfeasibleError, LimitsExceededError,
-                    SolveLimits, brute_force_oracle, build_model, emit_lp, solve_exact)
+                    SolveLimits, build_model, emit_lp, solve_exact)
 from .gen import DegreeScheme, adversarial_family, degree_array, generate
-from .harness import (TrialConfig, TrialRecord, records_to_csv, run_grid, run_trial,
-                      solve, summarize)
-from .fileio import (ParseError, RenderStyle, parse_hypergraph, parse_support,
-                     render_svg, serialize_hypergraph, serialize_support)
+from .harness import TrialConfig, TrialRecord, records_to_csv, run_grid, run_trial, solve
+from .fileio import (ParseError, parse_hypergraph, parse_support, render_svg,
+                     serialize_hypergraph, serialize_support)
 
 __version__ = "0.1.0"

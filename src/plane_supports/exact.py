@@ -1,10 +1,11 @@
 """Exact solving: the flow-based integer model, a deterministic LP-file
-emitter for external MILP solvers, an internal branch-and-bound solver for
-desk-scale instances, and a brute-force oracle used by the tests.
+emitter for external MILP solvers, and an internal branch-and-bound solver
+for desk-scale instances.
 
-The solver and the oracle share one preference rule between equal-quality
-solutions (shorter by more than 1e-9, else lexicographically smaller edge
-set), so their results are comparable edge for edge.
+The solver's preference rule between equal-quality solutions (shorter by
+more than 1e-9, else lexicographically smaller edge set) is
+_better_solution. It stays here, shared with the brute-force oracle of the
+tests (tests/oracle.py), so that their results are comparable edge for edge.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from itertools import islice
 
 from .geom import SegmentConflicts, bit_ids
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
-                    UNRESTRICTED, candidate_edges, conflict_index_pairs, satisfies,
-                    total_length)
+                    UNRESTRICTED, candidate_edges, satisfies, total_length)
 from .heuristics import _TIE_EPS, _Tables, _climb, mst_iteration
 from .mst import star_support
 
@@ -137,37 +137,25 @@ def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
     )
 
 
-def _evar(e: Edge) -> str:
-    return f"e_{e[0]}_{e[1]}"
+def _sum(plus: list[str], minus=()) -> list[str]:
+    """The signed pieces of sum(plus) - sum(minus): the first term bare, each
+    other term after its sign."""
+    return [plus[0], *[f"+ {t}" for t in plus[1:]], *[f"- {t}" for t in minus]]
 
 
-def _fvar(s: int, u: int, v: int) -> str:
-    return f"f_{s}_{u}_{v}"
-
-
-def _gvar(u: int, v: int) -> str:
-    return f"g_{u}_{v}"
-
-
-def _emit_row(out: list[str], name: str, terms: list[tuple[int, str]],
-              relation: str | None, rhs: int | None) -> None:
-    # terms are (sign, text); wrapping happens at term granularity so a sign
-    # never ends up separated from its variable.
-    pieces = [f" {name}:"]
-    for idx, (sign, text) in enumerate(terms):
-        if idx == 0:
-            pieces.append(text if sign > 0 else f"- {text}")
-        else:
-            pieces.append(f"{'+' if sign > 0 else '-'} {text}")
-    if relation is not None:
-        pieces.append(f"{relation} {rhs}")
-    line = pieces[0]
-    for piece in pieces[1:]:
-        if len(line) + 1 + len(piece) > _LP_WIDTH:
-            out.append(line)
-            line = "  " + piece
-        else:
-            line += " " + piece
+def _row(out: list[str], head: str, pieces: list[str]) -> None:
+    """Append one LP row: head, then the pieces (signed terms, then the
+    relation and right-hand side). A row wider than _LP_WIDTH wraps before
+    each piece that would pass it, so a sign never leaves its variable."""
+    line = " ".join([head, *pieces])
+    if len(line) > _LP_WIDTH:
+        line = head
+        for piece in pieces:
+            if len(line) + 1 + len(piece) > _LP_WIDTH:
+                out.append(line)
+                line = "  " + piece
+            else:
+                line += " " + piece
     out.append(line)
 
 
@@ -179,38 +167,33 @@ def emit_lp(m: IlpModel) -> str:
     Emitting the same model twice yields byte-identical text.
     """
     out: list[str] = ["Minimize"]
-    obj_terms = [(1, f"{w:.9f} {_evar(e)}") for e, w in zip(m.edge_vars, m.edge_lengths)]
-    if not obj_terms:
-        obj_terms = [(1, "0 dummy")]
-    _emit_row(out, "obj", obj_terms, None, None)
+    obj = [f"{w:.9f} e_{u}_{v}" for (u, v), w in zip(m.edge_vars, m.edge_lengths)]
+    _row(out, " obj:", _sum(obj or ["0 dummy"]))
 
     out.append("Subject To")
-    for i, (e1, e2) in enumerate(m.crossing_pairs):
-        _emit_row(out, f"cx_{i}", [(1, _evar(e1)), (1, _evar(e2))], "<=", 1)
+    for i, ((a, b), (c, d)) in enumerate(m.crossing_pairs):
+        _row(out, f" cx_{i}:", [f"e_{a}_{b}", f"+ e_{c}_{d}", "<= 1"])
 
     for s, mem in enumerate(m.hyperedge_members):
-        if len(mem) <= 1:
-            continue
-        sink = m.sinks[s]
-        terms = [(1, _fvar(s, u, sink)) for u in mem if u != sink]
-        _emit_row(out, f"fa_{s}", terms, "=", len(mem) - 1)
+        if len(mem) > 1:
+            sink = m.sinks[s]
+            _row(out, f" fa_{s}:",
+                 [*_sum([f"f_{s}_{u}_{sink}" for u in mem if u != sink]), f"= {len(mem) - 1}"])
     for s, mem in enumerate(m.hyperedge_members):
         sink = m.sinks[s]
         for v in mem:
             if v != sink:
-                _emit_row(out, f"fb_{s}_{v}", [(1, _fvar(s, sink, v))], "=", 0)
+                _row(out, f" fb_{s}_{v}:", [f"f_{s}_{sink}_{v}", "= 0"])
     for s, mem in enumerate(m.hyperedge_members):
         sink = m.sinks[s]
         for u in mem:
-            if u == sink:
-                continue
-            terms = [(1, _fvar(s, u, v)) for v in mem if v != u]
-            terms += [(-1, _fvar(s, v, u)) for v in mem if v != u]
-            _emit_row(out, f"fc_{s}_{u}", terms, "=", 1)
+            if u != sink:
+                others = [v for v in mem if v != u]
+                _row(out, f" fc_{s}_{u}:", [*_sum([f"f_{s}_{u}_{v}" for v in others],
+                                                  [f"f_{s}_{v}_{u}" for v in others]), "= 1"])
     for (s, u, v), bound in zip(m.flow_vars, m.flow_bounds):
-        e = (u, v) if u < v else (v, u)
-        _emit_row(out, f"fd_{s}_{u}_{v}",
-                  [(1, _fvar(s, u, v)), (-1, f"{bound} {_evar(e)}")], "<=", 0)
+        a, b = (u, v) if u < v else (v, u)
+        _row(out, f" fd_{s}_{u}_{v}:", [f"f_{s}_{u}_{v}", f"- {bound} e_{a}_{b}", "<= 0"])
 
     if m.tree_mode and m.n > 1:
         in_of: dict[int, list[int]] = {}
@@ -224,38 +207,29 @@ def emit_lp(m: IlpModel) -> str:
         sink = with_neighbours[0]
         if len(with_neighbours) < m.n:
             raise ValueError("tree variant needs every vertex adjacent to a candidate edge")
-        _emit_row(out, "tg_a", [(1, _gvar(u, sink)) for u in sorted(in_of[sink])],
-                  "=", m.n - 1)
+        _row(out, " tg_a:",
+             [*_sum([f"g_{u}_{sink}" for u in sorted(in_of[sink])]), f"= {m.n - 1}"])
         for v in sorted(out_of[sink]):
-            _emit_row(out, f"tg_b_{v}", [(1, _gvar(sink, v))], "=", 0)
-        for u in with_neighbours:
-            if u == sink:
-                continue
-            terms = [(1, _gvar(u, v)) for v in sorted(out_of[u])]
-            terms += [(-1, _gvar(v, u)) for v in sorted(in_of[u])]
-            _emit_row(out, f"tg_c_{u}", terms, "=", 1)
+            _row(out, f" tg_b_{v}:", [f"g_{sink}_{v}", "= 0"])
+        for u in with_neighbours[1:]:
+            _row(out, f" tg_c_{u}:", [*_sum([f"g_{u}_{v}" for v in sorted(out_of[u])],
+                                            [f"g_{v}_{u}" for v in sorted(in_of[u])]), "= 1"])
         for u, v in m.tree_flow_vars:
-            e = (u, v) if u < v else (v, u)
-            _emit_row(out, f"tg_d_{u}_{v}",
-                      [(1, _gvar(u, v)), (-1, f"{m.n - 1} {_evar(e)}")], "<=", 0)
-        _emit_row(out, "tg_count", [(1, _evar(e)) for e in m.edge_vars], "=", m.n - 1)
+            a, b = (u, v) if u < v else (v, u)
+            _row(out, f" tg_d_{u}_{v}:", [f"g_{u}_{v}", f"- {m.n - 1} e_{a}_{b}", "<= 0"])
+        _row(out, " tg_count:", [*_sum([f"e_{u}_{v}" for u, v in m.edge_vars]), f"= {m.n - 1}"])
 
     out.append("Bounds")
-    for (s, u, v), bound in zip(m.flow_vars, m.flow_bounds):
-        out.append(f" 0 <= {_fvar(s, u, v)} <= {bound}")
+    out += [f" 0 <= f_{s}_{u}_{v} <= {bound}"
+            for (s, u, v), bound in zip(m.flow_vars, m.flow_bounds)]
     if m.tree_mode:
-        for u, v in m.tree_flow_vars:
-            out.append(f" 0 <= {_gvar(u, v)} <= {m.n - 1}")
-
+        out += [f" 0 <= g_{u}_{v} <= {m.n - 1}" for u, v in m.tree_flow_vars]
     out.append("Binaries")
-    for e in m.edge_vars:
-        out.append(f" {_evar(e)}")
+    out += [f" e_{u}_{v}" for u, v in m.edge_vars]
     out.append("Generals")
-    for s, u, v in m.flow_vars:
-        out.append(f" {_fvar(s, u, v)}")
+    out += [f" f_{s}_{u}_{v}" for s, u, v in m.flow_vars]
     if m.tree_mode:
-        for u, v in m.tree_flow_vars:
-            out.append(f" {_gvar(u, v)}")
+        out += [f" g_{u}_{v}" for u, v in m.tree_flow_vars]
     out.append("End")
     return "\n".join(out) + "\n"
 
@@ -641,89 +615,3 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     support = SupportGraph(best_edges)
     return ExactResult(support, total_length(support, h), not capped, nodes)
 
-
-def brute_force_oracle(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> ExactResult:
-    """Exhaustive DFS over candidate-edge subsets, pruned only by a running
-    length bound. Independent of solve_exact: id-ordered enumeration, no MST
-    bounds, no propagation; feasibility is checked per subset.
-    """
-    if h.n > 8:
-        raise ValueError(f"oracle limited to n <= 8 vertices, got {h.n}")
-    edges = candidate_edges(h)
-    m = len(edges)
-    elen = [h.edge_length(*e) for e in edges]
-
-    conflicts: list[list[int]] = [[] for _ in range(m)]
-    if c.require_plane:
-        for i, j in conflict_index_pairs(h, edges):
-            conflicts[i].append(j)
-            conflicts[j].append(i)
-
-    members_sorted = [sorted(s) for s in h.hyperedges]
-    local_index = [{v: i for i, v in enumerate(mem)} for mem in members_sorted]
-    edge_locals: list[list[tuple[int, int, int]]] = []
-    for u, v in edges:
-        locs = []
-        for s in range(h.k):
-            mem = h.hyperedges[s]
-            if u in mem and v in mem:
-                locs.append((s, local_index[s][u], local_index[s][v]))
-        edge_locals.append(locs)
-
-    seed = _initial_incumbent(_tables(h), c)
-    best_len, best_edges = seed if seed is not None else (None, None)
-
-    in_flag = bytearray(m)
-    chosen: list[int] = []
-    gdsu = DisjointSet(h.n) if c.require_acyclic else None
-    nodes = 0
-
-    def chosen_is_support() -> bool:
-        for s in range(h.k):
-            cnt = len(members_sorted[s])
-            if cnt <= 1:
-                continue
-            dsu = DisjointSet(cnt)
-            comps = cnt
-            for eidx in chosen:
-                for s2, li, lj in edge_locals[eidx]:
-                    if s2 == s and dsu.union(li, lj) is not None:
-                        comps -= 1
-            if comps > 1:
-                return False
-        return True
-
-    def dfs(i: int, partial: float) -> None:
-        nonlocal best_len, best_edges, nodes
-        nodes += 1
-        if best_len is not None and partial > best_len + _TIE_EPS:
-            return
-        if i == m:
-            if chosen_is_support():
-                sol = frozenset(edges[j] for j in chosen)
-                if _better_solution(partial, sol, best_len, best_edges):
-                    best_len, best_edges = partial, sol
-            return
-        feasible = True
-        if c.require_plane and any(in_flag[j] for j in conflicts[i]):
-            feasible = False
-        token = None
-        if feasible and gdsu is not None:
-            token = gdsu.union(*edges[i])
-            feasible = token is not None
-        if feasible and (best_len is None or partial + elen[i] <= best_len + _TIE_EPS):
-            in_flag[i] = 1
-            chosen.append(i)
-            dfs(i + 1, partial + elen[i])
-            chosen.pop()
-            in_flag[i] = 0
-        if token is not None:
-            gdsu.undo(token)
-        dfs(i + 1, partial)
-
-    dfs(0, 0.0)
-    if best_edges is None:
-        raise InfeasibleError(
-            f"no support satisfies constraints '{c.label}' for this instance")
-    support = SupportGraph(best_edges)
-    return ExactResult(support, total_length(support, h), True, nodes)

@@ -9,8 +9,6 @@ serialize is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import Hypergraph, SupportGraph, edge_key
 
 
@@ -121,28 +119,23 @@ def serialize_support(g: SupportGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_DEFAULT_PALETTE = (
+# The renderer's fixed style: one colour per hyperedge, so at most 10.
+_PALETTE = (
     "#d7263d", "#1b6ca8", "#2a9d34", "#f4a100", "#7b2d8b",
     "#00838f", "#c2571a", "#5c6b1f", "#9c1f5f", "#3f51b5",
 )
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    palette: tuple[str, ...] = _DEFAULT_PALETTE
-    vertex_radius: float = 1.0
-    ring_gap: float = 0.7
-    stroke_width: float = 0.45
-    offset_step: float = 0.5
-    margin: float = 6.0
+_VERTEX_RADIUS = 1.0
+_RING_GAP = 0.7
+_STROKE_WIDTH = 0.45
+_OFFSET_STEP = 0.5
+_MARGIN = 6.0
 
 
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def render_svg(h: Hypergraph, g: SupportGraph | None = None,
-               style: RenderStyle | None = None) -> str:
+def render_svg(h: Hypergraph, g: SupportGraph | None = None) -> str:
     """Standalone SVG for an instance and (optionally) a support.
 
     Every support edge is stroked once per hyperedge whose induced subgraph
@@ -150,15 +143,13 @@ def render_svg(h: Hypergraph, g: SupportGraph | None = None,
     edge so shared edges show as parallel strokes. Vertices are dots with
     one concentric ring per containing hyperedge. Output is deterministic.
     """
-    style = style or RenderStyle()
-    if len(style.palette) < h.k:
-        raise ValueError(f"palette has {len(style.palette)} colours, need {h.k}")
+    if len(_PALETTE) < h.k:
+        raise ValueError(f"palette has {len(_PALETTE)} colours, need {h.k}")
 
     xs = [p.x for p in h.vertices]
     ys = [p.y for p in h.vertices]
-    mg = style.margin
-    min_x, max_x = min(xs) - mg, max(xs) + mg
-    min_y, max_y = min(ys) - mg, max(ys) + mg
+    min_x, max_x = min(xs) - _MARGIN, max(xs) + _MARGIN
+    min_y, max_y = min(ys) - _MARGIN, max(ys) + _MARGIN
     width = max_x - min_x
     height = max_y - min_y
 
@@ -184,26 +175,26 @@ def render_svg(h: Hypergraph, g: SupportGraph | None = None,
                 parts.append(
                     f'<line x1="{_fmt(pu.x)}" y1="{_fmt(pu.y)}" x2="{_fmt(pv.x)}" '
                     f'y2="{_fmt(pv.y)}" stroke="#888888" '
-                    f'stroke-width="{_fmt(style.stroke_width)}"/>')
+                    f'stroke-width="{_fmt(_STROKE_WIDTH)}"/>')
             for rank, s in enumerate(users):
-                off = style.offset_step * rank
+                off = _OFFSET_STEP * rank
                 ox, oy = nx * off, ny * off
                 parts.append(
                     f'<line x1="{_fmt(pu.x + ox)}" y1="{_fmt(pu.y + oy)}" '
                     f'x2="{_fmt(pv.x + ox)}" y2="{_fmt(pv.y + oy)}" '
-                    f'stroke="{style.palette[s]}" '
-                    f'stroke-width="{_fmt(style.stroke_width)}"/>')
+                    f'stroke="{_PALETTE[s]}" '
+                    f'stroke-width="{_fmt(_STROKE_WIDTH)}"/>')
 
     for vid in range(h.n):
         p = h.vertices[vid]
         parts.append(f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" '
-                     f'r="{_fmt(style.vertex_radius)}" fill="#222222"/>')
+                     f'r="{_fmt(_VERTEX_RADIUS)}" fill="#222222"/>')
         mine = [s for s in range(h.k) if vid in h.hyperedges[s]]
         for rank, s in enumerate(mine):
-            r = style.vertex_radius + style.ring_gap * (rank + 1)
+            r = _VERTEX_RADIUS + _RING_GAP * (rank + 1)
             parts.append(f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" r="{_fmt(r)}" '
-                         f'fill="none" stroke="{style.palette[s]}" '
-                         f'stroke-width="{_fmt(style.stroke_width)}"/>')
+                         f'fill="none" stroke="{_PALETTE[s]}" '
+                         f'stroke-width="{_fmt(_STROKE_WIDTH)}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,16 +1,14 @@
-"""Experiment harness: grids of trials, timing, ratio statistics, CSV.
+"""Experiment harness: grids of trials, timing, CSV.
 
 Each trial generates its instance from (n, k, scheme, seed), runs one solver
 and validates the output against the requested constraint set; a validation
 failure is a solver bug and raises. Trial t of a template uses seed
-base_seed + t, so different algorithms meet the exact same instances and
-paired ratios are meaningful.
+base_seed + t, so different algorithms meet the exact same instances.
 """
 
 from __future__ import annotations
 
 import random
-import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -166,84 +164,3 @@ def records_to_csv(records) -> str:
         ]))
     return "\n".join(lines) + "\n"
 
-
-def _percentile(sorted_xs: list[float], q: float) -> float:
-    if not sorted_xs:
-        raise ValueError("no data")
-    if len(sorted_xs) == 1:
-        return sorted_xs[0]
-    pos = (len(sorted_xs) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_xs) - 1)
-    frac = pos - lo
-    return sorted_xs[lo] * (1 - frac) + sorted_xs[hi] * frac
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    count: int
-    mean: float
-    median: float
-    p90: float
-    p95: float
-    p99: float
-
-
-@dataclass(frozen=True)
-class PairStats:
-    """Paired comparison of solver a against solver b on shared seeds."""
-
-    a: tuple[str, str]               # (algorithm, constraints label)
-    b: tuple[str, str]
-    count: int
-    wins_a: int                      # strictly shorter; ties are not wins
-    win_rate: float
-    mean_ratio: float                # mean of length_a / length_b, ties included
-    max_ratio: float
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    groups: dict
-    pairs: tuple[PairStats, ...]
-
-
-def summarize(records, ratio_pairs=()) -> SummaryStats:
-    """Per-group length statistics plus paired ratios for requested solver
-    pairs. Ratios only ever combine records with identical (n, k, scheme,
-    seed), so both sides saw the same instance.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to summarise")
-
-    by_group: dict[tuple, list[float]] = {}
-    for r in records:
-        if r.status != "ok":
-            continue
-        by_group.setdefault((r.n, r.k, r.scheme, r.algorithm, r.constraints), []).append(r.length)
-    groups = {}
-    for key, lengths in sorted(by_group.items()):
-        xs = sorted(lengths)
-        groups[key] = GroupStats(len(xs), statistics.fmean(xs), statistics.median(xs),
-                                 _percentile(xs, 90), _percentile(xs, 95),
-                                 _percentile(xs, 99))
-
-    by_solver: dict[tuple[str, str], dict[tuple, float]] = {}
-    for r in records:
-        if r.status != "ok":
-            continue
-        by_solver.setdefault((r.algorithm, r.constraints), {})[(r.n, r.k, r.scheme, r.seed)] = r.length
-
-    pairs = []
-    for a, b in ratio_pairs:
-        la = by_solver.get(tuple(a), {})
-        lb = by_solver.get(tuple(b), {})
-        shared = sorted(set(la) & set(lb))
-        if not shared:
-            continue
-        ratios = [la[key] / lb[key] for key in shared]
-        wins = sum(1 for key in shared if la[key] < lb[key] - 1e-9)
-        pairs.append(PairStats(tuple(a), tuple(b), len(shared), wins,
-                               wins / len(shared), statistics.fmean(ratios), max(ratios)))
-    return SummaryStats(groups, tuple(pairs))

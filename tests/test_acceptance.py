@@ -10,7 +10,7 @@ import statistics
 
 import pytest
 
-from plane_supports.exact import brute_force_oracle, solve_exact
+from plane_supports.exact import solve_exact
 from plane_supports.fileio import parse_hypergraph, serialize_hypergraph
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.harness import CSV_COLUMNS, TrialConfig, records_to_csv, run_grid
@@ -19,6 +19,8 @@ from plane_supports.heuristics import (local_search, local_search_all, mst_appro
 from plane_supports.model import (ALL_CONSTRAINTS, UNRESTRICTED, satisfies,
                                   total_length)
 from plane_supports.mst import emst, mst_with_free_edges, star_support
+
+from oracle import brute_force_oracle
 
 SCHEMES = (DegreeScheme.EVEN, DegreeScheme.MID, DegreeScheme.LOW, DegreeScheme.HIGH)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from types import SimpleNamespace
@@ -6,9 +7,9 @@ import pytest
 
 from plane_supports import exact, heuristics
 from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededError,
-                                  SolveLimits, _greedy_support, _tables, brute_force_oracle,
-                                  build_model, emit_lp, solve_exact)
-from plane_supports.gen import DegreeScheme, generate
+                                  SolveLimits, _greedy_support, _tables, build_model, emit_lp,
+                                  solve_exact)
+from plane_supports.gen import DegreeScheme, adversarial_family, generate
 from plane_supports.harness import TrialConfig
 from plane_supports.heuristics import _climb, _star_seed, mst_approximation
 from plane_supports.geom import segments_conflict
@@ -16,6 +17,8 @@ from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, H
                                   PLANE, PLANE_TREE, TREE, UNRESTRICTED, SupportGraph,
                                   candidate_edges, satisfies, total_length)
 from plane_supports.mst import emst, star_support
+
+from oracle import brute_force_oracle
 
 
 def hg(points, hyperedges):
@@ -98,6 +101,42 @@ def test_emit_lp_deterministic():
         a = emit_lp(build_model(h, c))
         b = emit_lp(build_model(h, c))
         assert a == b
+
+
+_LP_DIGESTS = {
+    ("mid8-0", "u"): "08362231b73e1d333c554c8b37849527e8155756a334e446eddfef30b1cd2155",
+    ("mid8-0", "t"): "04dca191784d1dcba8c246393dd10410099cf30240dffcdb0270680d86992f80",
+    ("mid8-0", "p"): "aa248c70df07fafbacdacb3d0d19619cb88fb8aac5ab37172bc12fee006d89ce",
+    ("mid8-0", "pt"): "5c0e48e2132b746503e3c3a14b5a126257e9ec30101d3b80634ae60f93220759",
+    ("mid8-1", "u"): "b7916ef7f7947e26bedc1ae71428d6079334231f7f5be4cfb08ad6a009bfefc8",
+    ("mid8-1", "t"): "ba4f463633cf985e77a0f5c813c6db7d3e7e101784b7bf743ff7febff15c37dc",
+    ("mid8-1", "p"): "fd86f96b1ef976a8daa8f9bf184384b425c5198135e01a16389f6fb5ae88753f",
+    ("mid8-1", "pt"): "7e654fe95d120f3a94835011cf44015585ab5df6a212985f265256c1ee501edb",
+    ("mid8-2", "u"): "1209865aa0d9cf4c10563425d3c4a1f23a6a6a1501abb5a3fe9811d18028cbe3",
+    ("mid8-2", "t"): "b94792d6863595e1f5dbc41029d5da533b0257b6b193c216bd21ff2a86fae096",
+    ("mid8-2", "p"): "d7d77e9e1cb129f13607bf5daf68742686e8e410e70659e1ec6fb5a0620dab01",
+    ("mid8-2", "pt"): "d199c664084a0f63e6eed4f739d8db05610cc6cc0282d0cdee303dad02619bd7",
+    ("mid30-0", "u"): "5d4e7eb6155accc4af6bdbb0c44f18814c2b515d077afc33ef2d71d03573e4d6",
+    ("mid30-0", "t"): "e779be772b1f9863cf02972506becccacb864d82d2904606545d4f75262fb9a8",
+    ("mid30-0", "p"): "6d3accfa0e8afb27352a90e0054479e141746dbc591fe7f7f821b01b76d4d85d",
+    ("mid30-0", "pt"): "e0e6825b47d7a036ec66f4507570d033807ed534062fb4c72dbf5951ecbfd4de",
+    ("adversarial9", "u"): "21d8fa6e1c014a879aee865702a5dc548cd8f44b93e63914426b44e2df203fe8",
+    ("adversarial9", "t"): "4cba4bc93420836e607704c88f5b6db6f11795d1fc2e8263dba46c4f798ca796",
+    ("adversarial9", "p"): "7008942ab1b07b3805c61659a43d3a40e8eb836541c2dc202d7c4c5dfac4d566",
+    ("adversarial9", "pt"): "69028f1c47a24d90d9e2421a00f4007d423b06e87cf067e51fb066c3c33b0ef8",
+}
+
+
+def test_emit_lp_bytes_are_pinned():
+    # SHA-256 of the LP text in every regime. mid30-0's obj and fc rows wrap
+    # at _LP_WIDTH, and the t and pt models carry the tree rows.
+    instances = {f"mid8-{s}": generate(8, 2, DegreeScheme.MID, random.Random(s))
+                 for s in range(3)}
+    instances["mid30-0"] = generate(30, 4, DegreeScheme.MID, random.Random(0))
+    instances["adversarial9"] = adversarial_family(9)
+    got = {(name, c.label): hashlib.sha256(emit_lp(build_model(h, c)).encode()).hexdigest()
+           for name, h in instances.items() for c in ALL_CONSTRAINTS}
+    assert got == _LP_DIGESTS
 
 
 def test_solve_exact_single_hyperedge_is_emst():

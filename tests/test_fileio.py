@@ -3,9 +3,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from plane_supports.fileio import (ParseError, RenderStyle, parse_hypergraph,
-                                   parse_support, render_svg, serialize_hypergraph,
-                                   serialize_support)
+from plane_supports.fileio import (ParseError, parse_hypergraph, parse_support, render_svg,
+                                   serialize_hypergraph, serialize_support)
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.heuristics import mst_iteration
 from plane_supports.model import Hypergraph, SupportGraph, total_length
@@ -86,6 +85,8 @@ def test_render_svg_parallel_strokes_for_shared_edges():
 
 
 def test_render_svg_requires_enough_colours():
-    h = generate(8, 3, DegreeScheme.MID, random.Random(4))
+    # The fixed palette has 10 colours, one per hyperedge.
+    points = [(0, 0), (1, 0)]
+    render_svg(Hypergraph.build(points, [{0, 1}] * 10))
     with pytest.raises(ValueError):
-        render_svg(h, None, RenderStyle(palette=("#111111",)))
+        render_svg(Hypergraph.build(points, [{0, 1}] * 11))

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from plane_supports.exact import SolveLimits, brute_force_oracle, solve_exact
+from plane_supports.exact import SolveLimits, solve_exact
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.harness import (ALGORITHMS, CSV_COLUMNS, TrialConfig,
                                     combination_supported, records_to_csv, run_grid,
-                                    run_trial, solve, summarize)
+                                    run_trial, solve)
 from plane_supports.heuristics import (local_search, local_search_seeded, mst_approximation,
                                        mst_iteration)
 from plane_supports.model import ALL_CONSTRAINTS, ConstraintSet, PLANE, PLANE_TREE, UNRESTRICTED
 from plane_supports.mst import star_support
+
+from oracle import brute_force_oracle
 
 
 def test_unsupported_combinations_rejected():
@@ -125,44 +127,3 @@ def test_csv_layout():
     length_field = first[CSV_COLUMNS.index("length")]
     assert len(length_field.split(".")[1]) == 6
 
-
-def test_summarize_groups_and_pairs():
-    templates = [
-        TrialConfig(12, 2, DegreeScheme.MID, "mst-approx"),
-        TrialConfig(12, 2, DegreeScheme.MID, "mst-iter"),
-        TrialConfig(12, 2, DegreeScheme.MID, "local-search"),
-    ]
-    records = run_grid(templates, trials=8, base_seed=40)
-    stats = summarize(records, ratio_pairs=[
-        (("mst-iter", "u"), ("mst-approx", "u")),
-        (("local-search", "u"), ("mst-iter", "u")),
-    ])
-    key = (12, 2, "mid", "mst-iter", "u")
-    assert key in stats.groups
-    g = stats.groups[key]
-    assert g.count == 8
-    assert g.median <= g.p90 <= g.p95 <= g.p99
-
-    iter_vs_approx = stats.pairs[0]
-    assert iter_vs_approx.count == 8
-    assert iter_vs_approx.max_ratio <= 1 + 1e-9   # iteration never loses
-    ls_vs_iter = stats.pairs[1]
-    assert ls_vs_iter.count == 8
-    assert 0 <= ls_vs_iter.win_rate <= 1
-
-
-def test_summarize_ties_are_not_wins():
-    templates = [
-        TrialConfig(10, 2, DegreeScheme.HIGH, "mst-iter"),
-        TrialConfig(10, 2, DegreeScheme.HIGH, "mst-iter"),
-    ]
-    records = run_grid(templates, trials=4, base_seed=7)
-    stats = summarize(records, ratio_pairs=[(("mst-iter", "u"), ("mst-iter", "u"))])
-    pair = stats.pairs[0]
-    assert pair.win_rate == 0.0
-    assert pair.mean_ratio == pytest.approx(1.0)
-
-
-def test_summarize_empty_fails():
-    with pytest.raises(ValueError):
-        summarize([])

@@ -37,9 +37,9 @@ and in every round.
   ``bench/workloads.py`` of the change checkout, read-only), summed per
   shape; compared is the workload's ``fingerprint(capture(op, output))``.
 - exact: ``solve_exact`` under p and pt with ``SolveLimits(node_cap)`` for
-  each --solve-n, and ``build_model`` under p for each --model-n, on MID
-  instances; compared are the support, length, nodes and proven_optimal of
-  a solve, and the ``emit_lp`` text of a model.
+  each --solve-n, and ``emit_lp(build_model(...))`` under p for each
+  --model-n, on MID instances; compared are the support, length, nodes and
+  proven_optimal of a solve, and the LP text of a model.
 
 Each command exits 1 when outputs differ. --out writes the summary as JSON.
 """
@@ -179,14 +179,16 @@ def exact(args, ps, workdir: Path):
     def solved(r):
         return digest(r.support.sorted_edges()), repr(r.length), r.nodes_explored, r.proven_optimal
 
+    def lp(h):
+        return ps.exact.emit_lp(ps.exact.build_model(h, ps.model.PLANE))
+
     limits = ps.exact.SolveLimits(node_cap=args.node_cap)
     for n in args.solve_n:
         h = make(n)
         for c in (ps.model.PLANE, ps.model.PLANE_TREE):
             yield f"solve {c.label} n={n}", partial(ps.exact.solve_exact, h, c, limits), solved
     for n in args.model_n:
-        yield (f"model p n={n}", partial(ps.exact.build_model, make(n), ps.model.PLANE),
-               lambda model: digest(ps.exact.emit_lp(model)))
+        yield f"model p n={n}", partial(lp, make(n)), digest
 
 
 def shapes(args, ps, workdir: Path):
@@ -300,7 +302,7 @@ def main(argv=None) -> int:
     p = command("shapes", "a benchmark workload's operations, per shape", in_process, 10, shapes)
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p = command("exact", "capped solve_exact and build_model", in_process, 3, exact)
+    p = command("exact", "capped solve_exact, and a model's LP text", in_process, 3, exact)
     p.add_argument("--solve-n", type=int, nargs="*", default=[20, 40, 80])
     p.add_argument("--model-n", type=int, nargs="*", default=[40, 60])
     p.add_argument("--k", type=int, default=4)

@@ -2,6 +2,14 @@
 emitter for external MILP solvers, and an internal branch-and-bound solver
 for desk-scale instances.
 
+The branch and bound prunes on a cost-splitting bound: each candidate's
+length is shared equally among the hyperedges that hold it, and the bound
+is the committed length plus the sum of the hyperedges' MSTs under those
+shares. Every support holds a spanning tree of each hyperedge and the
+shares of an edge sum to its length, so the bound is valid in every
+regime. The MSTs are kept by swaps; an excluded tree edge is replaced by
+the first undecided cell across its cut in (share, rank) order.
+
 The solver's preference rule between equal-quality solutions (shorter by
 more than 1e-9, else lexicographically smaller edge set) is
 _better_solution. It stays here, shared with the brute-force oracle of the
@@ -13,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
 
 from .geom import SegmentConflicts, bit_ids
 from .model import (ConstraintSet, DisjointSet, Edge, Hypergraph, SupportGraph,
@@ -398,120 +405,101 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
     """Provably-optimal support via branch and bound over edge inclusion.
 
     Edges are branched in (length, u, v) order, include-first. The lower
-    bound at a node is the committed length plus the larger of two MST
-    completion costs (committed-in edges free, committed-out forbidden): the
-    worst single hyperedge's, and the sum over the components of the
-    hyperedge intersection graph of the component's completion over its
-    candidate edges. A support connects every chain of overlapping
-    hyperedges, and components share no vertex or edge, so the sum is a
-    valid bound too. Raises InfeasibleError when the completed search finds
-    nothing feasible and LimitsExceededError when caps bite before any
-    incumbent exists. A capped search returns proven_optimal=False and its
-    seed (one star-seeded climb under c, if the star fits c) or better. The
-    time cap counts from this call's entry and is checked at every node
-    (see SolveLimits).
+    bound at a node splits each candidate's length equally among the h(e)
+    hyperedges that hold it, share(e) = length(e) / h(e), and adds to the
+    committed length the sum over hyperedges of the MST completion cost under
+    those shares (committed-in edges free, committed-out forbidden). The
+    shares of an edge sum to its length, and any support contains a spanning
+    tree of each hyperedge, so its length is at least the committed length
+    plus that sum: the bound is valid in every regime. (This is a Lagrangian
+    cost split with fixed multipliers; Held & Karp 1970, Fisher 1981.)
+    Raises InfeasibleError when the completed search finds nothing feasible
+    and LimitsExceededError when caps bite before any incumbent exists. A
+    capped search returns proven_optimal=False and its seed (one
+    star-seeded climb under c, if the star fits c) or better. The time cap
+    counts from this call's entry and is checked at every node (see
+    SolveLimits).
     One _Tables over every candidate gives the branching order, lengths and
     index, the seed climb and, under p and pt, each candidate's conflicts,
     read off its bulk index when the search first tries to include it.
 
-    The bound is kept incrementally. Every entry (one per hyperedge, one
-    per component of two or more hyperedges) has a weight matrix updated in
-    place as edges are decided and undone, and each node hands its entries'
-    minimum spanning trees (value and parent array) to its children, which
-    update them by swaps that keep them minimum: an included edge replaces
-    the heaviest edge on its tree path (_tree_swap_in), and an excluded tree
-    edge the lightest edge across the cut it leaves (_tree_cut_replace).
-    Prim runs only at the root and for entries whose tree lost an edge to a
+    The bound is kept incrementally. Every hyperedge has a weight matrix of
+    shares updated in place as edges are decided and undone, and each node
+    hands the hyperedges' minimum spanning trees (value and parent array) to
+    its children, which update them by swaps that keep them minimum: an
+    included edge replaces the heaviest edge on its tree path
+    (_tree_swap_in), and an excluded tree edge the lightest edge across the
+    cut it leaves (_tree_cut_replace). That cut scan walks the hyperedge's
+    undecided cells from the start in (share, rank) order: no included edge
+    crosses the cut (it would have beaten the excluded one), so the first
+    undecided crossing cell is the lightest. Branching runs in length order,
+    not share order, so decided cells lie anywhere in that walk. Prim runs
+    only at the root and for hyperedges whose tree lost an edge to a
     forced-out conflict; those values are bit-exact, and swapped ones carry
     rounding from their running sums, far inside _TIE_EPS, so the leaf test
-    confirms a near-zero completion with Prim. Component entries are only
-    updated where the per-hyperedge bound did not prune. Pruning only drops
-    subtrees longer than the incumbent plus _TIE_EPS, so the incumbents and
-    the support are those of the per-hyperedge bound alone, from fewer nodes.
+    confirms a near-zero completion with Prim.
     """
     t_start = time.perf_counter()
     limits = limits or SolveLimits()
     tables = _tables(h)
     m = tables.ncand
     order, elen, idx_of = tables.pairs[:m], tables.plen, tables.index
+    share = [elen[i] / tables.held[i].bit_count() for i in range(m)]
     inf = math.inf
     k = h.k
 
-    # weights[s] is entry s's local weight matrix under the current status
-    # (0.0 in, inf out, the length when undecided): hyperedges first, then
-    # components. edge_locals[e] lists the (s, i, j, position) cells edge e
-    # occupies, and entry_edges[s] entry s's (e, i, j) cells in branching
-    # order, so edge e is entry_edges[s][position].
+    # weights[s] is hyperedge s's local weight matrix under the current
+    # status (0.0 in, inf out, the share when undecided). edge_locals[e]
+    # lists the (s, i, j) cells edge e occupies, and entry_edges[s]
+    # hyperedge s's (e, i, j) cells in (share, rank) order.
     weights: list[list[list[float]]] = []
-    edge_locals: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
+    edge_locals: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
     entry_edges: list[list[tuple[int, int, int]]] = []
-
-    def add_entry(mem: list[int]) -> None:
-        s = len(weights)
+    for s, hyp in enumerate(h.hyperedges):
+        mem = sorted(hyp)
         w = [[inf] * len(mem) for _ in mem]
         cells = []
         for i in range(len(mem)):
             for j in range(i + 1, len(mem)):
                 eidx = idx_of.get((mem[i], mem[j]))
                 if eidx is not None:
-                    w[i][j] = w[j][i] = elen[eidx]
+                    w[i][j] = w[j][i] = share[eidx]
                     cells.append((eidx, i, j))
-        cells.sort()
-        for pos, (eidx, i, j) in enumerate(cells):
-            edge_locals[eidx].append((s, i, j, pos))
+                    edge_locals[eidx].append((s, i, j))
+        cells.sort(key=lambda cell: (share[cell[0]], cell[0]))
         weights.append(w)
         entry_edges.append(cells)
-
-    for hyp in h.hyperedges:
-        add_entry(sorted(hyp))
-    # Components of the intersection graph, as those of the candidate edges;
-    # singles are the hyperedges alone in theirs, whose entry is their own.
-    vdsu = DisjointSet(h.n)
-    for u, v in order:
-        vdsu.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for s, hyp in enumerate(h.hyperedges):
-        groups.setdefault(vdsu.find(min(hyp)), []).append(s)
-    singles = [grp[0] for grp in groups.values() if len(grp) == 1]
-    for grp in groups.values():
-        if len(grp) > 1:
-            add_entry(sorted(set().union(*(h.hyperedges[s] for s in grp))))
-    nent = len(weights)
 
     conflicts: list[list[int] | None] = [None] * m  # by rank, on a first inclusion
     status = bytearray(m)  # 0 undecided, 1 in, 2 out
 
     def set_status(eidx: int, st: int) -> None:
         status[eidx] = st
-        val = elen[eidx] if st == 0 else (0.0 if st == 1 else inf)
-        for s, i, j, _ in edge_locals[eidx]:
+        val = share[eidx] if st == 0 else (0.0 if st == 1 else inf)
+        for s, i, j in edge_locals[eidx]:
             w = weights[s]
             w[i][j] = w[j][i] = val
 
-    def refresh(lo: int, hi: int, d: int, values, parents, dirty) -> bool:
-        """Bring entries lo..hi-1 up to date after branch d decided edge d:
-        Prim for those in dirty, a swap where d's decision changes the
-        tree. False when one of them can no longer be connected."""
+    def refresh(d: int, values, parents, dirty) -> bool:
+        """Bring every hyperedge's tree up to date after branch d decided
+        edge d: Prim for those in dirty, a swap where d's decision changes
+        the tree. False when one of them can no longer be connected."""
         for s in dirty:
-            if lo <= s < hi:
-                values[s], parents[s] = _prim(weights[s])
-                if parents[s] is None:
-                    return False
+            values[s], parents[s] = _prim(weights[s])
+            if parents[s] is None:
+                return False
         if d < 0:
             return True
-        for s, i, j, pos in edge_locals[d]:
-            if s < lo or s >= hi or s in dirty:
+        for s, i, j in edge_locals[d]:
+            if s in dirty:
                 continue
             par = parents[s]
             if status[d] == 1:
-                delta, parents[s] = _tree_swap_in(weights[s], par, i, j, elen[d])
+                delta, parents[s] = _tree_swap_in(weights[s], par, i, j, share[d])
             elif par[i] == j or par[j] == i:
-                # Every edge before d is decided, and no included one
-                # crosses the cut (it would beat d), so the lightest
-                # crossing edge is the first undecided one after d.
-                later = ((a, b) for e, a, b in islice(entry_edges[s], pos + 1, None)
-                         if not status[e])
-                delta, parents[s] = _tree_cut_replace(weights[s], par, i, j, elen[d], later)
+                undecided = ((a, b) for e, a, b in entry_edges[s] if not status[e])
+                delta, parents[s] = _tree_cut_replace(weights[s], par, i, j, share[d],
+                                                      undecided)
                 if delta == inf:
                     return False
             else:
@@ -529,7 +517,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
 
     def dfs(depth: int, values: list[float], parents: list, dirty: set[int]) -> None:
         # Edge depth - 1 was decided on the way here; dirty holds the
-        # entries whose tree lost an edge to a forced-out conflict.
+        # hyperedges whose tree lost an edge to a forced-out conflict.
         nonlocal nodes, best_len, best_edges, committed
         nodes += 1
         if limits.node_cap is not None and nodes > limits.node_cap:
@@ -539,11 +527,11 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
 
         values = values[:]
         parents = parents[:]
-        if not refresh(0, k, depth - 1, values, parents, dirty):
+        if not refresh(depth - 1, values, parents, dirty):
             return
-        worst = max(values[:k], default=0.0)
-        if best_len is not None and committed + worst > best_len + _TIE_EPS:
+        if best_len is not None and committed + sum(values) > best_len + _TIE_EPS:
             return
+        worst = max(values, default=0.0)
         if worst <= _TIE_EPS and not any(_prim(weights[s])[0] for s in range(k)):
             # Committed edges already span every hyperedge (swapped values
             # carry rounding, so Prim confirms it); any deeper node only
@@ -552,12 +540,6 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
             if _better_solution(committed, sol, best_len, best_edges):
                 best_len, best_edges = committed, sol
             return
-        if k > 1:
-            if not refresh(k, nent, depth - 1, values, parents, dirty):
-                return
-            bound = committed + sum(values[k:]) + sum([values[s] for s in singles])
-            if best_len is not None and bound > best_len + _TIE_EPS:
-                return
 
         d = depth
         while d < m and status[d] != 0:
@@ -582,7 +564,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
                     if status[j] == 0:
                         set_status(j, 2)
                         forced.append(j)
-                        for s, a, b, _ in edge_locals[j]:
+                        for s, a, b in edge_locals[j]:
                             par = parents[s]
                             if par[a] == b or par[b] == a:
                                 hit.add(s)
@@ -602,7 +584,7 @@ def solve_exact(h: Hypergraph, c: ConstraintSet = UNRESTRICTED,
 
     capped = False
     try:
-        dfs(0, [0.0] * nent, [()] * nent, set(range(nent)))
+        dfs(0, [0.0] * k, [()] * k, set(range(k)))
     except _Capped:
         capped = True
 

@@ -1,14 +1,12 @@
 import random
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from plane_supports import cli
 from plane_supports.cli import main
 from plane_supports.fileio import (parse_hypergraph, parse_support, serialize_hypergraph,
                                    serialize_support)
 from plane_supports.gen import DegreeScheme, generate
-from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, Hypergraph, SupportGraph,
+from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, SupportGraph,
                                   candidate_edges, crossing_count, hyperedge_induced_connected,
                                   is_acyclic, is_support, satisfies, total_length)
 from plane_supports.mst import star_support

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from plane_supports import exact, heuristics
-from plane_supports.exact import (ExactResult, InfeasibleError, LimitsExceededError,
+from plane_supports.exact import (InfeasibleError, LimitsExceededError,
                                   SolveLimits, _greedy_support, _tables, build_model, emit_lp,
                                   solve_exact)
 from plane_supports.gen import DegreeScheme, adversarial_family, generate
@@ -18,6 +18,7 @@ from plane_supports.model import (ALL_CONSTRAINTS, ConstraintSet, DisjointSet, H
                                   candidate_edges, satisfies, total_length)
 from plane_supports.mst import emst, star_support
 
+from highs import highs_solve
 from oracle import brute_force_oracle
 
 
@@ -38,6 +39,37 @@ def small_instances(count, seed0=0):
         out.append(generate(n, k, scheme, random.Random(seed0 + i)))
         i += 1
     return out
+
+
+def irregular_instances(count, seed0=0):
+    """Hyperedges of 2-4 random vertices, n = 5-8, k = 2-4, over random
+    points or (every other instance) cells of a 5 x 5 grid, with equal
+    lengths and collinear triples: most have an empty core, and some have
+    several components."""
+    out = []
+    for i in range(count):
+        rng = random.Random(seed0 + i)
+        n = rng.randint(5, 8)
+        k = rng.randint(2, 4)
+        if i % 2:
+            points = rng.sample([(x, y) for x in range(5) for y in range(5)], n)
+        else:
+            points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+        hyps = [set(rng.sample(range(n), rng.randint(2, 4))) for _ in range(k)]
+        for v in set(range(n)).difference(*hyps):
+            hyps[rng.randrange(k)].add(v)
+        out.append(hg(points, hyps))
+    return out
+
+
+def _components(h):
+    """The number of components of h's hyperedge intersection graph."""
+    parts = DisjointSet(h.k)
+    for a in range(h.k):
+        for b in range(a + 1, h.k):
+            if h.hyperedges[a] & h.hyperedges[b]:
+                parts.union(a, b)
+    return len({parts.find(s) for s in range(h.k)})
 
 
 def test_build_model_counts():
@@ -157,10 +189,20 @@ def test_solve_exact_x_configuration():
 
 
 def test_solve_exact_matches_oracle_on_small_instances():
-    for h in small_instances(12, seed0=50):
+    # The irregular instances add empty cores, several components and grid
+    # ties to the generator's shapes.
+    irregular = irregular_instances(24, seed0=400)
+    assert sum(not h.core() for h in irregular) >= 6
+    assert sum(_components(h) > 1 for h in irregular) >= 3
+    for h in small_instances(12, seed0=50) + irregular:
         for c in ALL_CONSTRAINTS:
+            try:
+                b = brute_force_oracle(h, c)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_exact(h, c)
+                continue
             a = solve_exact(h, c)
-            b = brute_force_oracle(h, c)
             assert a.proven_optimal and b.proven_optimal
             assert a.length == pytest.approx(b.length, abs=1e-9)
             assert a.support == b.support
@@ -226,70 +268,75 @@ def test_invalid_caps_are_rejected():
 
 # (n, k, seed of a MID instance, regime, node cap) -> (node ceiling, nodes
 # explored, length, proven optimal, sorted edges). The ceiling is the count
-# of the per-hyperedge bound alone; adding the component bound only prunes
-# subtrees longer than the incumbent, so it explores a subset of those nodes
-# and returns the same uncapped support.
+# of the earlier bound, the larger of the worst hyperedge's MST and the sum
+# of the component MSTs; the split bound returns the same supports from
+# fewer nodes.
 _SEARCH_PINS = {
-    (8, 2, 4, "u", None): (841, 29, 196.61409259919296, True,
+    (8, 2, 4, "u", None): (29, 29, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "t", None): (676, 22, 196.61409259919296, True,
+    (8, 2, 4, "t", None): (22, 22, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "p", None): (429, 29, 196.61409259919296, True,
+    (8, 2, 4, "p", None): (29, 29, 196.61409259919296, True,
                            [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 2, 4, "pt", None): (365, 22, 196.61409259919296, True,
+    (8, 2, 4, "pt", None): (22, 22, 196.61409259919296, True,
                             [(0, 4), (0, 6), (1, 4), (2, 7), (3, 5), (3, 6), (4, 7)]),
-    (8, 3, 2, "u", None): (461, 461, 208.5360823393645, True,
+    (8, 3, 2, "u", None): (461, 41, 208.5360823393645, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
-    (8, 3, 2, "t", None): (402, 402, 208.5360823393645, True,
+    (8, 3, 2, "t", None): (402, 32, 208.5360823393645, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 6), (3, 7), (5, 7)]),
-    (8, 3, 2, "p", None): (399, 399, 213.43091622996988, True,
+    (8, 3, 2, "p", None): (399, 31, 213.43091622996988, True,
                            [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
-    (8, 3, 2, "pt", None): (341, 341, 213.43091622996988, True,
+    (8, 3, 2, "pt", None): (341, 28, 213.43091622996988, True,
                             [(0, 3), (1, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]),
-    (8, 3, 4, "u", None): (2465, 1701, 321.0899351015403, True,
+    (8, 3, 4, "u", None): (1701, 191, 321.0899351015403, True,
                            [(0, 2), (0, 3), (0, 6), (0, 7), (1, 4), (1, 5), (4, 6), (5, 7)]),
-    (8, 3, 4, "t", None): (5053, 3770, 343.8862859244787, True,
+    (8, 3, 4, "t", None): (3770, 602, 343.8862859244787, True,
                            [(0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 4), (4, 6)]),
-    (8, 3, 4, "p", None): (1801, 1355, 341.06149592494125, True,
+    (8, 3, 4, "p", None): (1355, 137, 341.06149592494125, True,
                            [(0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 4), (1, 5), (5, 7)]),
-    (8, 3, 4, "pt", None): (3814, 3507, 401.80085243451896, True,
+    (8, 3, 4, "pt", None): (3507, 1133, 401.80085243451896, True,
                             [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)]),
-    (9, 2, 4, "u", None): (251, 47, 255.32303601974525, True,
+    (9, 2, 4, "u", None): (47, 31, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "t", None): (242, 42, 255.32303601974525, True,
+    (9, 2, 4, "t", None): (42, 26, 255.32303601974525, True,
                            [(0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "p", None): (243, 47, 258.14156825021746, True,
+    (9, 2, 4, "p", None): (47, 31, 258.14156825021746, True,
                            [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 2, 4, "pt", None): (236, 43, 258.14156825021746, True,
+    (9, 2, 4, "pt", None): (43, 27, 258.14156825021746, True,
                             [(0, 1), (1, 2), (1, 4), (2, 3), (2, 5), (4, 7), (5, 6), (5, 8)]),
-    (9, 3, 3, "u", None): (347, 231, 258.7099600811283, True,
+    (9, 3, 3, "u", None): (231, 57, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "t", None): (255, 171, 258.7099600811283, True,
+    (9, 3, 3, "t", None): (171, 47, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "p", None): (235, 187, 258.7099600811283, True,
+    (9, 3, 3, "p", None): (187, 49, 258.7099600811283, True,
                            [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 3, "pt", None): (179, 142, 258.7099600811283, True,
+    (9, 3, 3, "pt", None): (142, 42, 258.7099600811283, True,
                             [(0, 1), (0, 8), (1, 3), (1, 4), (1, 6), (2, 4), (3, 5), (3, 7)]),
-    (9, 3, 7, "u", None): (2115, 1795, 272.61727593091393, True,
+    (9, 3, 7, "u", None): (1795, 145, 272.61727593091393, True,
                            [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7),
                             (5, 7)]),
-    (9, 3, 7, "t", None): (2382, 2062, 277.8394986707699, True,
+    (9, 3, 7, "t", None): (2062, 192, 277.8394986707699, True,
                            [(0, 1), (1, 4), (1, 5), (1, 8), (2, 7), (3, 4), (4, 6), (4, 7)]),
-    (9, 3, 7, "p", None): (803, 695, 283.55605063891556, True,
+    (9, 3, 7, "p", None): (695, 153, 283.55605063891556, True,
                            [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
                             (6, 8)]),
-    (9, 3, 7, "pt", None): (1301, 1163, 301.31619615266885, True,
+    (9, 3, 7, "pt", None): (1163, 274, 301.31619615266885, True,
                             [(0, 1), (1, 4), (1, 5), (1, 7), (1, 8), (2, 7), (3, 4), (4, 6)]),
-    # Capped after the search has improved on the heuristic seed (301.32 and
-    # 348.93) but before it has proven that improvement optimal. With the
-    # component bound the same caps still stop before a proof, at the same
-    # incumbents.
-    (9, 3, 7, "p", 400): (401, 401, 283.55605063891556, False,
+    # The earlier bound stopped at these caps after improving on the
+    # heuristic seed (301.32 and 348.93) but before a proof; the split bound
+    # proves the same supports optimal inside them.
+    (9, 3, 7, "p", 400): (401, 153, 283.55605063891556, True,
                           [(0, 1), (0, 5), (1, 4), (1, 8), (2, 7), (3, 4), (4, 7), (5, 7),
                            (6, 8)]),
-    (9, 3, 11, "p", 1000): (1001, 1001, 341.5454344156613, False,
+    (9, 3, 11, "p", 1000): (1001, 385, 341.5454344156613, True,
                             [(0, 5), (1, 4), (1, 7), (2, 5), (3, 5), (3, 7), (4, 5), (5, 6),
                              (5, 8)]),
+    # Capped after the search has improved on the heuristic seed (404.02)
+    # but before it has proven optimal the support it then finds (388.49,
+    # at node 2365).
+    (12, 3, 4, "p", 1000): (1001, 1001, 401.8448767405347, False,
+                            [(0, 5), (0, 6), (0, 8), (1, 4), (1, 10), (2, 6), (2, 8), (3, 9),
+                             (4, 5), (4, 11), (6, 10), (7, 10), (8, 9), (10, 11)]),
 }
 
 
@@ -350,7 +397,7 @@ def test_error_inside_the_incumbent_climb_propagates(monkeypatch):
 def test_time_cap_counts_from_entry(monkeypatch):
     # A fake clock that only the set-up advances: a set-up past the cap
     # stops the search at its first time check, node 1, with its seed.
-    h = generate(9, 3, DegreeScheme.MID, random.Random(3))
+    h = generate(9, 3, DegreeScheme.MID, random.Random(7))
     full = solve_exact(h, UNRESTRICTED)
     assert full.nodes_explored > 128
     clock = [0.0]
@@ -383,101 +430,21 @@ def test_star_violating_the_regime_falls_back():
         assert res.length == expected.length, c.label
 
 
-def _parse_lp(text):
-    """Tiny LP reader for the emitter's own dialect (tests only)."""
-    sections = {"Minimize": [], "Subject To": [], "Bounds": [], "Binaries": [],
-                "Generals": []}
-    current = None
-    logical: list[str] = []
-    for raw in text.splitlines():
-        if raw in sections or raw == "End":
-            current = raw
-            continue
-        if current == "End":
-            break
-        if raw.startswith("  "):
-            logical[-1] += " " + raw.strip()
-        else:
-            logical.append(raw.strip())
-            sections[current].append(len(logical) - 1)
-    by_section = {name: [logical[i] for i in idxs] for name, idxs in sections.items()}
-
-    def parse_terms(expr):
-        tokens = expr.split()
-        terms = []
-        sign = 1.0
-        coef = None
-        for tok in tokens:
-            if tok == "+":
-                sign, coef = 1.0, None
-            elif tok == "-":
-                sign, coef = -1.0, None
-            else:
-                try:
-                    coef = float(tok)
-                except ValueError:
-                    terms.append((sign * (1.0 if coef is None else coef), tok))
-                    sign, coef = 1.0, None
-        return terms
-
-    objective = parse_terms(by_section["Minimize"][0].split(":", 1)[1])
-    rows = []
-    for row in by_section["Subject To"]:
-        body = row.split(":", 1)[1]
-        for rel in ("<=", ">=", "="):
-            if f" {rel} " in body:
-                lhs, rhs = body.rsplit(f" {rel} ", 1)
-                rows.append((parse_terms(lhs), rel, float(rhs)))
-                break
-    bounds = {}
-    for row in by_section["Bounds"]:
-        lo, _, var, _, hi = row.split()
-        bounds[var] = (float(lo), float(hi))
-    return {"objective": objective, "rows": rows, "bounds": bounds,
-            "binaries": by_section["Binaries"], "generals": by_section["Generals"]}
+# (n, k, seed of a MID instance, regime). Past the brute-force oracle's
+# n <= 8, HiGHS on the emitted LP checks solve_exact's bound; each case
+# here takes HiGHS at most about 2 s.
+_MILP_CASES = ([pytest.param(7, 2, 99, label, id=label) for label in ("u", "p", "t", "pt")]
+               + [(10, 3, 4, label) for label in ("u", "p", "t", "pt")]
+               + [(11, 3, 0, "p"), (11, 3, 5, "t"), (11, 3, 5, "pt")])
 
 
-@pytest.mark.parametrize("label", ["u", "p", "t", "pt"])
-def test_lp_round_trip_through_external_milp(label):
-    scipy_opt = pytest.importorskip("scipy.optimize")
-    import numpy as np
-    from plane_supports.model import ConstraintSet
-
+@pytest.mark.parametrize("n,k,seed,label", _MILP_CASES)
+def test_lp_round_trip_through_external_milp(n, k, seed, label):
+    pytest.importorskip("scipy.optimize")
     c = ConstraintSet.from_label(label)
-    h = generate(7, 2, DegreeScheme.MID, random.Random(99))
-    model = build_model(h, c)
-    parsed = _parse_lp(emit_lp(model))
-
-    variables = parsed["binaries"] + parsed["generals"]
-    index = {v: i for i, v in enumerate(variables)}
-    nvar = len(variables)
-    obj = np.zeros(nvar)
-    for coef, var in parsed["objective"]:
-        obj[index[var]] += coef
-    rows_a, lo_b, hi_b = [], [], []
-    for terms, rel, rhs in parsed["rows"]:
-        row = np.zeros(nvar)
-        for coef, var in terms:
-            row[index[var]] += coef
-        rows_a.append(row)
-        lo_b.append(-np.inf if rel == "<=" else rhs)
-        hi_b.append(np.inf if rel == ">=" else rhs)
-    lb = np.zeros(nvar)
-    ub = np.ones(nvar)
-    for var, (lo, hi) in parsed["bounds"].items():
-        lb[index[var]], ub[index[var]] = lo, hi
-    res = scipy_opt.milp(
-        c=obj,
-        constraints=scipy_opt.LinearConstraint(np.array(rows_a), lo_b, hi_b),
-        integrality=np.ones(nvar),
-        bounds=scipy_opt.Bounds(lb, ub),
-    )
+    h = generate(n, k, DegreeScheme.MID, random.Random(seed))
+    res, g = highs_solve(h, c)
     assert res.success, res.message
-
-    from plane_supports.model import SupportGraph
-    chosen = [model.edge_vars[i] for i, var in enumerate(parsed["binaries"])
-              if res.x[index[var]] > 0.5]
-    g = SupportGraph.from_pairs(chosen)
     assert satisfies(g, h, c)
     assert total_length(g, h) == pytest.approx(res.fun, abs=1e-6)
     # the external optimum agrees with the internal solver
@@ -517,7 +484,7 @@ def _greedy_reference(h, c):
 # solve_exact seeds its search with _greedy_support: (points, hyperedges,
 # the optimum's edges, node ceilings under p and pt). The greedy support is
 # the optimum on each. The ceilings are the counts of the per-hyperedge bound
-# alone; _EMPTY_CORE_NODES maps them to the counts with the component bound.
+# alone; _EMPTY_CORE_NODES maps them to the counts with the split bound.
 EMPTY_CORE_PLANE = [
     ([(0, -1), (0, 1), (-1.5, 0), (1.5, 0), (0, 5)], [{0, 1}, {2, 3, 4}],
      [(0, 1), (2, 4), (3, 4)], 7, 7),
@@ -551,10 +518,9 @@ def test_greedy_seed_under_plane_regimes(points, hyperedges, edges, nodes_p, nod
 
 
 # Empty-core instances whose hyperedge intersection graph has two or more
-# components, at least one of them holding two or more hyperedges, so the
-# bound sums component completions. Each is feasible in every regime, and
-# on the first four the four optima all differ; the last two have two
-# components of two hyperedges each.
+# components, at least one of them holding two or more hyperedges. Each is
+# feasible in every regime, and on the first four the four optima all
+# differ; the last two have two components of two hyperedges each.
 MULTI_COMPONENT = [
     ([(1, 2), (3, 4), (4, 5), (0, 2), (1, 3), (2, 2), (5, 1)],
      [{0, 1, 3, 6}, {1, 3, 4}, {0, 1, 4}, {2, 5}]),
@@ -574,13 +540,7 @@ MULTI_COMPONENT = [
 @pytest.mark.parametrize("points,hyperedges", MULTI_COMPONENT)
 def test_multi_component_bound_matches_oracle(points, hyperedges):
     h = hg(points, hyperedges)
-    components = DisjointSet(h.k)
-    for a in range(h.k):
-        for b in range(a + 1, h.k):
-            if h.hyperedges[a] & h.hyperedges[b]:
-                components.union(a, b)
-    roots = [components.find(s) for s in range(h.k)]
-    assert len(set(roots)) >= 2 and len(set(roots)) < h.k
+    assert 2 <= _components(h) < h.k
     for c in ALL_CONSTRAINTS:
         expected = brute_force_oracle(h, c)
         res = solve_exact(h, c)

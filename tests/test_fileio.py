@@ -7,7 +7,7 @@ from plane_supports.fileio import (ParseError, parse_hypergraph, parse_support, 
                                    serialize_hypergraph, serialize_support)
 from plane_supports.gen import DegreeScheme, generate
 from plane_supports.heuristics import mst_iteration
-from plane_supports.model import Hypergraph, SupportGraph, total_length
+from plane_supports.model import Hypergraph, SupportGraph
 
 
 def test_parse_minimal_instance():

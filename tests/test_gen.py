@@ -1,5 +1,4 @@
 import hashlib
-import math
 import random
 from collections import Counter
 

@@ -10,7 +10,7 @@ from plane_supports.harness import (ALGORITHMS, CSV_COLUMNS, TrialConfig,
                                     run_trial, solve)
 from plane_supports.heuristics import (local_search, local_search_seeded, mst_approximation,
                                        mst_iteration)
-from plane_supports.model import ALL_CONSTRAINTS, ConstraintSet, PLANE, PLANE_TREE, UNRESTRICTED
+from plane_supports.model import ALL_CONSTRAINTS, PLANE, PLANE_TREE, UNRESTRICTED
 from plane_supports.mst import star_support
 
 from oracle import brute_force_oracle

@@ -1,5 +1,6 @@
-"""tools/ab.py, run as a subprocess: each in-process command imports its
-checkouts under fixed aliases, which one process can do only once."""
+"""tools/ab.py and tools/highs_sweep.py, run as subprocesses: each
+in-process command of ab.py imports its checkouts under fixed aliases,
+which one process can do only once."""
 
 import json
 import shutil
@@ -117,3 +118,16 @@ def test_bench_different_digests_exit_1(tmp_path):
               "--workload", "w", "--seed", "7", "--rounds", "2")
     assert proc.returncode == 1
     assert "outputs differ" in proc.stderr
+
+
+def test_highs_sweep_agrees_on_a_small_instance(tmp_path):
+    pytest.importorskip("scipy.optimize")
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "highs_sweep.py"), "--n", "7",
+                           "--k", "2", "--seeds", "99", "--out", str(out)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    sweep = json.loads(out.read_text())
+    totals = sweep["totals"]
+    assert (totals["solves"], totals["disagreements"], totals["both_proven"]) == (4, 0, 4)
+    assert all(row["root_bound"] <= row["exact_length"] + 1e-6 for row in sweep["rows"])

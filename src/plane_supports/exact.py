@@ -71,76 +71,40 @@ class ExactResult:
 
 @dataclass(frozen=True)
 class IlpModel:
-    """The integer program as data: one binary per candidate edge, one flow
-    variable per hyperedge and ordered member pair, crossing constraints in
-    plane mode, and a global commodity plus an edge-count row in tree mode."""
+    """The integer program's inputs: the vertex count, the candidate edges
+    (sorted (u, v) pairs, u < v) with their lengths, each hyperedge's sorted
+    members, the crossing candidate pairs (empty unless plane) and whether
+    the support must be acyclic. emit_lp derives the flow variables, sinks
+    and tree rows from them."""
 
     n: int
     edge_vars: tuple[Edge, ...]
     edge_lengths: tuple[float, ...]
     hyperedge_members: tuple[tuple[int, ...], ...]
-    sinks: tuple[int, ...]
-    flow_vars: tuple[tuple[int, int, int], ...]
-    flow_bounds: tuple[int, ...]
     crossing_pairs: tuple[tuple[Edge, Edge], ...]
-    plane_mode: bool
     tree_mode: bool
-    tree_flow_vars: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for (s, _, _), bound in zip(self.flow_vars, self.flow_bounds):
-            if bound != len(self.hyperedge_members[s]) - 1:
-                raise ValueError("flow bound must be |s| - 1")
 
 
 def build_model(h: Hypergraph, c: ConstraintSet = UNRESTRICTED) -> IlpModel:
     """Assemble the integer model for h under the given constraint set.
 
     Candidate edges are restricted to pairs sharing a hyperedge, in (u, v)
-    order; crossing constraints appear only in plane mode, in row-major order
-    from one bulk SegmentConflicts query per edge. Tree mode adds a single global
-    commodity flowing to the smallest vertex id with a candidate neighbour,
-    plus an edge-count row, which together force a spanning tree.
+    order; crossing pairs appear only in plane mode, in row-major order
+    from one bulk SegmentConflicts query per edge.
     """
     edges = tuple(candidate_edges(h))
-    lengths = tuple(h.edge_length(u, v) for u, v in edges)
-    members = tuple(tuple(sorted(s)) for s in h.hyperedges)
-    sinks = tuple(mem[0] for mem in members)
-
-    flow_vars: list[tuple[int, int, int]] = []
-    flow_bounds: list[int] = []
-    for s, mem in enumerate(members):
-        bound = len(mem) - 1
-        for u in mem:
-            for v in mem:
-                if u != v:
-                    flow_vars.append((s, u, v))
-                    flow_bounds.append(bound)
-
     crossing: list[tuple[Edge, Edge]] = []
     if c.require_plane:
         bulk = SegmentConflicts(h.vertices, edges)
         crossing = [(e, edges[j]) for i, e in enumerate(edges)  # j > i, as the pair walk
                     for j in bit_ids(bulk.conflicting(*e) >> i + 1 << i + 1)]
-
-    tree_flows: list[tuple[int, int]] = []
-    if c.require_acyclic and h.n > 1:
-        for u, v in edges:
-            tree_flows.append((u, v))
-            tree_flows.append((v, u))
-
     return IlpModel(
         n=h.n,
         edge_vars=edges,
-        edge_lengths=lengths,
-        hyperedge_members=members,
-        sinks=sinks,
-        flow_vars=tuple(flow_vars),
-        flow_bounds=tuple(flow_bounds),
+        edge_lengths=tuple(h.edge_length(u, v) for u, v in edges),
+        hyperedge_members=tuple(tuple(sorted(s)) for s in h.hyperedges),
         crossing_pairs=tuple(crossing),
-        plane_mode=c.require_plane,
         tree_mode=c.require_acyclic,
-        tree_flow_vars=tuple(tree_flows),
     )
 
 
@@ -169,6 +133,14 @@ def _row(out: list[str], head: str, pieces: list[str]) -> None:
 def emit_lp(m: IlpModel) -> str:
     """Serialise the model as deterministic LP-format text.
 
+    Each hyperedge s sends one unit of flow from every member to its
+    smallest member over variables f_s_u_v, each bounded by |s| - 1 and
+    by that many times its edge's binary. In tree mode every component of
+    the candidate graph with two or more vertices does the same over
+    variables g_u_v, towards its smallest vertex, and the edge count is n
+    minus the number of components (isolated vertices included): the
+    support is a spanning forest, one tree per component.
+
     Variables are ordered by (u, v) then (s, u, v); rows are grouped as
     crossing, then the four flow families per hyperedge, then tree rows.
     Emitting the same model twice yields byte-identical text.
@@ -181,62 +153,59 @@ def emit_lp(m: IlpModel) -> str:
     for i, ((a, b), (c, d)) in enumerate(m.crossing_pairs):
         _row(out, f" cx_{i}:", [f"e_{a}_{b}", f"+ e_{c}_{d}", "<= 1"])
 
+    fa: list[str] = []
+    fb: list[str] = []
+    fc: list[str] = []
+    flows = []  # (s, u, v, bound) in (s, u, v) order
     for s, mem in enumerate(m.hyperedge_members):
-        if len(mem) > 1:
-            sink = m.sinks[s]
-            _row(out, f" fa_{s}:",
-                 [*_sum([f"f_{s}_{u}_{sink}" for u in mem if u != sink]), f"= {len(mem) - 1}"])
-    for s, mem in enumerate(m.hyperedge_members):
-        sink = m.sinks[s]
-        for v in mem:
-            if v != sink:
-                _row(out, f" fb_{s}_{v}:", [f"f_{s}_{sink}_{v}", "= 0"])
-    for s, mem in enumerate(m.hyperedge_members):
-        sink = m.sinks[s]
-        for u in mem:
-            if u != sink:
-                others = [v for v in mem if v != u]
-                _row(out, f" fc_{s}_{u}:", [*_sum([f"f_{s}_{u}_{v}" for v in others],
-                                                  [f"f_{s}_{v}_{u}" for v in others]), "= 1"])
-    for (s, u, v), bound in zip(m.flow_vars, m.flow_bounds):
+        sink, rest = mem[0], mem[1:]
+        if rest:
+            _row(fa, f" fa_{s}:", [*_sum([f"f_{s}_{u}_{sink}" for u in rest]), f"= {len(rest)}"])
+        for u in rest:
+            _row(fb, f" fb_{s}_{u}:", [f"f_{s}_{sink}_{u}", "= 0"])
+            others = [v for v in mem if v != u]
+            _row(fc, f" fc_{s}_{u}:", [*_sum([f"f_{s}_{u}_{v}" for v in others],
+                                            [f"f_{s}_{v}_{u}" for v in others]), "= 1"])
+        flows += [(s, u, v, len(rest)) for u in mem for v in mem if u != v]
+    out += fa + fb + fc
+    for s, u, v, bound in flows:
         a, b = (u, v) if u < v else (v, u)
         _row(out, f" fd_{s}_{u}_{v}:", [f"f_{s}_{u}_{v}", f"- {bound} e_{a}_{b}", "<= 0"])
 
-    if m.tree_mode and m.n > 1:
-        in_of: dict[int, list[int]] = {}
-        out_of: dict[int, list[int]] = {}
-        for u, v in m.tree_flow_vars:
-            out_of.setdefault(u, []).append(v)
-            in_of.setdefault(v, []).append(u)
-        with_neighbours = sorted(out_of)
-        if not with_neighbours:
-            raise ValueError("tree variant needs at least one candidate edge")
-        sink = with_neighbours[0]
-        if len(with_neighbours) < m.n:
-            raise ValueError("tree variant needs every vertex adjacent to a candidate edge")
-        _row(out, " tg_a:",
-             [*_sum([f"g_{u}_{sink}" for u in sorted(in_of[sink])]), f"= {m.n - 1}"])
-        for v in sorted(out_of[sink]):
-            _row(out, f" tg_b_{v}:", [f"g_{sink}_{v}", "= 0"])
-        for u in with_neighbours[1:]:
-            _row(out, f" tg_c_{u}:", [*_sum([f"g_{u}_{v}" for v in sorted(out_of[u])],
-                                            [f"g_{v}_{u}" for v in sorted(in_of[u])]), "= 1"])
-        for u, v in m.tree_flow_vars:
+    tree_flows = [f for u, v in m.edge_vars for f in ((u, v), (v, u))] if m.tree_mode else []
+    if tree_flows:
+        nbrs: dict[int, list[int]] = {}  # ascending, as edge_vars is sorted
+        parts = DisjointSet(m.n)
+        rank = 0  # n minus the number of components
+        for u, v in m.edge_vars:
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+            rank += parts.union(u, v) is not None
+        smallest: dict[int, int] = {}  # component root -> its smallest vertex
+        for u in sorted(nbrs):
+            smallest.setdefault(parts.find(u), u)
+        sinks = list(smallest.values())
+        _row(out, " tg_a:", [*_sum([f"g_{u}_{t}" for t in sinks for u in nbrs[t]]), f"= {rank}"])
+        for t in sinks:
+            for v in nbrs[t]:
+                _row(out, f" tg_b_{v}:", [f"g_{t}_{v}", "= 0"])
+        for u in sorted(nbrs):
+            if u not in sinks:
+                _row(out, f" tg_c_{u}:", [*_sum([f"g_{u}_{v}" for v in nbrs[u]],
+                                                [f"g_{v}_{u}" for v in nbrs[u]]), "= 1"])
+        for u, v in tree_flows:
             a, b = (u, v) if u < v else (v, u)
             _row(out, f" tg_d_{u}_{v}:", [f"g_{u}_{v}", f"- {m.n - 1} e_{a}_{b}", "<= 0"])
-        _row(out, " tg_count:", [*_sum([f"e_{u}_{v}" for u, v in m.edge_vars]), f"= {m.n - 1}"])
+        _row(out, " tg_count:", [*_sum([f"e_{u}_{v}" for u, v in m.edge_vars]), f"= {rank}"])
 
     out.append("Bounds")
-    out += [f" 0 <= f_{s}_{u}_{v} <= {bound}"
-            for (s, u, v), bound in zip(m.flow_vars, m.flow_bounds)]
-    if m.tree_mode:
-        out += [f" 0 <= g_{u}_{v} <= {m.n - 1}" for u, v in m.tree_flow_vars]
+    out += [f" 0 <= f_{s}_{u}_{v} <= {bound}" for s, u, v, bound in flows]
+    out += [f" 0 <= g_{u}_{v} <= {m.n - 1}" for u, v in tree_flows]
     out.append("Binaries")
     out += [f" e_{u}_{v}" for u, v in m.edge_vars]
     out.append("Generals")
-    out += [f" f_{s}_{u}_{v}" for s, u, v in m.flow_vars]
-    if m.tree_mode:
-        out += [f" g_{u}_{v}" for u, v in m.tree_flow_vars]
+    out += [f" f_{s}_{u}_{v}" for s, u, v, _ in flows]
+    out += [f" g_{u}_{v}" for u, v in tree_flows]
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -77,10 +77,12 @@ def test_build_model_counts():
     h = hg(pts, [set(range(5))])
     m = build_model(h, UNRESTRICTED)
     assert len(m.edge_vars) == 10            # C(5, 2)
-    assert len(m.flow_vars) == 20            # 5 * 4 ordered pairs
     assert m.crossing_pairs == ()            # plane flag off
-    assert m.sinks == (0,)
-    assert all(b == 4 for b in m.flow_bounds)
+    lines = emit_lp(m).splitlines()
+    bounds = [line for line in lines if line.startswith(" 0 <= f_0_")]
+    assert len(bounds) == 20                 # 5 * 4 ordered pairs
+    assert all(line.endswith(" <= 4") for line in bounds)
+    assert " fa_0: f_0_1_0 + f_0_2_0 + f_0_3_0 + f_0_4_0 = 4" in lines  # sink 0
 
 
 def test_build_model_flow_rhs_uses_hyperedge_size():
@@ -125,6 +127,34 @@ def test_emit_lp_tree_rows():
     assert " tg_a: g_1_0 + g_2_0 = 2" in text
     assert " tg_count: e_0_1 + e_0_2 + e_1_2 = 2" in text
     assert " tg_d_0_1: g_0_1 - 2 e_0_1 <= 0" in text
+
+
+def test_emit_lp_tree_rows_per_component():
+    # Two components of the candidate graph, {0, 1, 2} and {3, 4}: one
+    # commodity each, both sinks in tg_a, and n - 2 edges in all.
+    h = hg([(0, 0), (1, 0), (0, 1), (5, 5), (6, 5)], [{0, 1, 2}, {3, 4}])
+    lines = emit_lp(build_model(h, TREE)).splitlines()
+    assert [line for line in lines if line.startswith((" tg_a", " tg_b", " tg_c", " tg_count"))] == [
+        " tg_a: g_1_0 + g_2_0 + g_4_3 = 3",
+        " tg_b_1: g_0_1 = 0",
+        " tg_b_2: g_0_2 = 0",
+        " tg_b_4: g_3_4 = 0",
+        " tg_c_1: g_1_0 + g_1_2 - g_0_1 - g_2_1 = 1",
+        " tg_c_2: g_2_0 + g_2_1 - g_0_2 - g_1_2 = 1",
+        " tg_c_4: g_4_3 - g_3_4 = 1",
+        " tg_count: e_0_1 + e_0_2 + e_1_2 + e_3_4 = 3",
+    ]
+    assert " tg_d_4_3: g_4_3 - 4 e_3_4 <= 0" in lines
+
+
+def test_emit_lp_tree_rows_with_an_isolated_vertex():
+    # Vertex 2 lies only in a singleton hyperedge, so it has no candidate
+    # edge: it is a component of its own, with no tree rows.
+    h = hg([(0, 0), (1, 0), (2, 2)], [{0, 1}, {2}])
+    lines = emit_lp(build_model(h, PLANE_TREE)).splitlines()
+    assert " tg_a: g_1_0 = 1" in lines
+    assert " tg_count: e_0_1 = 1" in lines
+    assert not any("g_2_" in line or "_2:" in line for line in lines)
 
 
 def test_emit_lp_deterministic():
@@ -430,25 +460,49 @@ def test_star_violating_the_regime_falls_back():
         assert res.length == expected.length, c.label
 
 
-# (n, k, seed of a MID instance, regime). Past the brute-force oracle's
-# n <= 8, HiGHS on the emitted LP checks solve_exact's bound; each case
-# here takes HiGHS at most about 2 s.
-_MILP_CASES = ([pytest.param(7, 2, 99, label, id=label) for label in ("u", "p", "t", "pt")]
-               + [(10, 3, 4, label) for label in ("u", "p", "t", "pt")]
-               + [(11, 3, 0, "p"), (11, 3, 5, "t"), (11, 3, 5, "pt")])
+# An X whose two diagonals, hyperedges {0, 1, 4} and {2, 3, 5}, each have a
+# detour: 0-4-1 below, 2-5-3 to the right. The u optimum takes both
+# diagonals (51.17); under p the crossing row cx_0 of (0, 1) and (2, 3)
+# forces one detour (56.00). The two hyperedges are disjoint, so the
+# candidate graph has two components and pt asks for a spanning forest.
+X_DETOUR = hg([(0, 0), (10, 10), (0, 10), (10, 0), (4, -3), (18, 16)],
+              [{0, 1, 4}, {2, 3, 5}])
 
 
-@pytest.mark.parametrize("n,k,seed,label", _MILP_CASES)
-def test_lp_round_trip_through_external_milp(n, k, seed, label):
+def _mid(n, k, seed):
+    return generate(n, k, DegreeScheme.MID, random.Random(seed))
+
+
+# (instance, regime). Past the brute-force oracle's n <= 8, HiGHS on the
+# emitted LP checks solve_exact's bound; each case here takes HiGHS at most
+# about 2 s. X_DETOUR fails if one crossing row is lost, and the irregular
+# instances with several components check the forest rows under t and pt.
+_MILP_CASES = ([pytest.param(_mid(7, 2, 99), label, id=label) for label in ("u", "p", "t", "pt")]
+               + [pytest.param(_mid(10, 3, 4), label, id=f"10-3-4-{label}")
+                  for label in ("u", "p", "t", "pt")]
+               + [pytest.param(_mid(11, 3, seed), label, id=f"11-3-{seed}-{label}")
+                  for seed, label in ((0, "p"), (5, "t"), (5, "pt"))]
+               + [pytest.param(X_DETOUR, label, id=f"x-detour-{label}") for label in ("p", "pt")]
+               + [pytest.param(h, label, id=f"irregular-{400 + i}-{label}")
+                  for i, h in enumerate(irregular_instances(24, seed0=400))
+                  if _components(h) > 1 for label in ("t", "pt")])
+
+
+@pytest.mark.parametrize("h,label", _MILP_CASES)
+def test_lp_round_trip_through_external_milp(h, label):
     pytest.importorskip("scipy.optimize")
     c = ConstraintSet.from_label(label)
-    h = generate(n, k, DegreeScheme.MID, random.Random(seed))
     res, g = highs_solve(h, c)
+    try:
+        want = solve_exact(h, c).length
+    except InfeasibleError:
+        assert res.status == 2, res.message  # HiGHS proves it infeasible too
+        return
     assert res.success, res.message
     assert satisfies(g, h, c)
     assert total_length(g, h) == pytest.approx(res.fun, abs=1e-6)
     # the external optimum agrees with the internal solver
-    assert res.fun == pytest.approx(solve_exact(h, c).length, abs=1e-6)
+    assert res.fun == pytest.approx(want, abs=1e-6)
 
 
 def _greedy_reference(h, c):
